@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .datacube import DataCube, MaskSet, psnr
 from .graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
@@ -142,18 +141,33 @@ def assemble_band_system(
         raise ValueError(f"sampling rate must be in (0, 1], got {rate}")
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
+    if not W.has_canonical_format:
+        W = W.copy()
+        W.sum_duplicates()
     mu = 1.0 / rate - 1.0
     deg = np.asarray(W.sum(axis=1)).reshape(-1)
     deg_omega = W @ chi
-    lap = sp.diags(deg) - W
-    A = (
-        sp.diags(2.0 + mu * chi) @ lap
-        + mu * (sp.diags(deg_omega) - W @ sp.diags(chi))
-        + lam * sp.diags(chi)
-    )
-    A = A.tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
+    rows = np.repeat(np.arange(N), np.diff(W.indptr))
+    diag_pos = np.flatnonzero(rows == W.indices)
+    if diag_pos.size < N:
+        # give every row a diagonal slot: an explicit zero where W stores none
+        missing = np.setdiff1d(np.arange(N), rows[diag_pos])
+        W = sp.csr_matrix(
+            (
+                np.concatenate([W.data, np.zeros(missing.size)]),
+                (np.concatenate([rows, missing]), np.concatenate([W.indices, missing])),
+            ),
+            shape=(N, N),
+        )
+        rows = np.repeat(np.arange(N), np.diff(W.indptr))
+        diag_pos = np.flatnonzero(rows == W.indices)
+    w_self = W.data[diag_pos]
+    mu_chi = mu * chi
+    data = -(2.0 + np.take(mu_chi, rows) + np.take(mu_chi, W.indices)) * W.data
+    # same float op order as (2 + mu chi)(D - W) + mu (D_omega - W chi) + lam chi
+    # on the diagonal, so rate 1 gives exactly 2 (D - W) + lam I
+    data[diag_pos] = (2.0 + mu_chi) * (deg - w_self) + mu * (deg_omega - w_self * chi) + lam * chi
+    A = sp.csr_matrix((data, W.indices, W.indptr), shape=(N, N))
     rhs = lam * chi * bvec
     return BandSystem(A=A, rhs=rhs, band=band, mu=mu, lam=lam)
 
@@ -161,39 +175,109 @@ def assemble_band_system(
 def _gmres(
     system: BandSystem, x0: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, int, float, bool]:
-    """Restarted GMRES with Jacobi left preconditioning, warm start x0.
+    """Restarted GMRES (Saad & Schultz 1986) with Jacobi left
+    preconditioning, warm start x0.
+
+    The stopping rules are those of ``scipy.sparse.linalg.gmres`` with
+    ``rtol=cfg.gmres_tol, atol=0``: a zero right-hand side returns zero, a
+    warm start already within tolerance returns at once, each restart cycle
+    stops when its preconditioned residual estimate reaches ``ptol``, the
+    true residual ||rhs - A x|| <= tol ||rhs|| decides convergence, and
+    ``ptol`` is re-aimed after every cycle (scipy gh-8400). The Arnoldi
+    basis uses two passes of classical Gram-Schmidt; ``cfg.gmres_max_iters``
+    caps the total number of inner iterations exactly.
 
     Returns (solution, inner iterations, final preconditioned relative
-    residual, converged flag).
+    residual ||D^-1 (rhs - A x)|| / ||D^-1 rhs||, converged flag).
     """
-    A, rhs = system.A, system.rhs
+    A, b = system.A, system.rhs
     diag = A.diagonal()
     zero_rows = np.nonzero(diag == 0.0)[0]
     if zero_rows.size:
         raise NumericalError(f"zero diagonal entry at row {zero_rows[0]} of band {system.band}")
     inv_diag = 1.0 / diag
-    M = spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
-    history: list[float] = []
-    cycles = max(1, math.ceil(cfg.gmres_max_iters / cfg.gmres_restart))
-    x, info = spla.gmres(
-        A,
-        rhs,
-        x0=x0,
-        rtol=cfg.gmres_tol,
-        atol=0.0,
-        restart=cfg.gmres_restart,
-        maxiter=cycles,
-        M=M,
-        callback=history.append,
-        callback_type="pr_norm",
-    )
-    rhs_norm = float(np.linalg.norm(inv_diag * rhs))
-    if history:
-        final = history[-1] / rhs_norm if rhs_norm > 0 else history[-1]
-    else:
-        resid = inv_diag * (rhs - A @ x)
-        final = float(np.linalg.norm(resid)) / rhs_norm if rhs_norm > 0 else 0.0
-    return x, len(history), final, info == 0
+    bnrm2 = float(np.linalg.norm(b))
+    if bnrm2 == 0.0:
+        return np.zeros_like(b), 0, 0.0, True
+    n = b.shape[0]
+    eps = float(np.finfo(np.float64).eps)
+    atol = cfg.gmres_tol * bnrm2
+    restart = min(cfg.gmres_restart, n)
+    mb_nrm2 = float(np.linalg.norm(inv_diag * b))
+    ptol_max_factor = 1.0
+    ptol = mb_nrm2 * min(ptol_max_factor, atol / bnrm2)
+    x = np.array(x0, dtype=np.float64)
+    r = b - A @ x if x.any() else b.copy()
+    rnorm = float(np.linalg.norm(r))
+    iters = 0
+    V = np.empty((restart + 1, n))
+    while rnorm >= atol and iters < cfg.gmres_max_iters:
+        V[0] = inv_diag * r
+        g = [float(np.linalg.norm(V[0]))]  # rotated residual vector
+        V[0] *= 1.0 / g[0]
+        R: list[list[float]] = []  # rotated Hessenberg columns
+        rots: list[tuple[float, float]] = []
+        for j in range(min(restart, cfg.gmres_max_iters - iters)):
+            w = inv_diag * (A @ V[j])
+            h0 = float(np.linalg.norm(w))
+            h = V[: j + 1] @ w
+            w -= h @ V[: j + 1]
+            h2 = V[: j + 1] @ w
+            w -= h2 @ V[: j + 1]
+            col = (h + h2).tolist()
+            h1 = float(np.linalg.norm(w))
+            breakdown = h1 <= eps * h0  # the Krylov space holds the exact solution
+            if breakdown:
+                h1 = 0.0
+            else:
+                V[j + 1] = w * (1.0 / h1)
+            for k, (c, sn) in enumerate(rots):
+                col[k], col[k + 1] = c * col[k] + sn * col[k + 1], -sn * col[k] + c * col[k + 1]
+            f = col[j]
+            # LAPACK dlartg, bit for bit away from over/underflow (the Jacobi
+            # scaling keeps these entries near 1)
+            if h1 == 0.0:
+                c, sn, mag = 1.0, 0.0, f
+            elif f == 0.0:
+                c, sn, mag = 0.0, 1.0, h1
+            else:
+                d = math.sqrt(f * f + h1 * h1)
+                c, mag = abs(f) / d, math.copysign(d, f)
+                sn = h1 / mag
+            rots.append((c, sn))
+            col[j] = mag
+            R.append(col)
+            g_next = -sn * g[j]
+            g[j] = c * g[j]
+            g.append(g_next)
+            presid = abs(g_next)
+            iters += 1
+            if presid <= ptol or breakdown:
+                break
+        # back substitution on the triangular factor, as scipy does it
+        m = len(R)
+        y = g[:m]
+        if R[-1][m - 1] == 0.0:
+            y[m - 1] = 0.0
+        for k in range(m - 1, 0, -1):
+            if y[k] != 0.0:
+                y[k] /= R[k][k]
+                for i in range(k):
+                    y[i] -= y[k] * R[k][i]
+        if y[0] != 0.0:
+            y[0] /= R[0][0]
+        x += np.array(y) @ V[:m]
+        r = b - A @ x
+        rnorm = float(np.linalg.norm(r))
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    final = float(np.linalg.norm(inv_diag * r)) / mb_nrm2
+    return x, iters, final, rnorm <= atol
 
 
 def solve_band(system: BandSystem, x0: np.ndarray, cfg: SolverConfig) -> np.ndarray:
@@ -286,6 +370,7 @@ def ldmm_reconstruct(
             "iter=%d graph nnz=%d mean_degree=%.4f lambda=%.4e secs=%.3f",
             it, wtilde.nnz, mean_degree, lam, graph_secs,
         )
+        unconverged: dict[int, float] = {}
         for t in range(b.B):
             system = assemble_band_system(
                 wtilde, masks.band(t), b.band(t), lam, float(rates[t]), band=t
@@ -298,6 +383,8 @@ def ldmm_reconstruct(
                 raise NumericalError(f"iteration {it}: {exc}") from exc
             if not np.all(np.isfinite(x)):
                 raise NumericalError(f"non-finite band solution at iteration {it}, band {t}")
+            if not converged:
+                unconverged[t] = resid
             energy_end = wnll_energy(x, wtilde, masks.band(t), b.band(t), lam, float(rates[t]))
             logger.info(
                 "iter=%d band=%d gmres_iters=%d residual=%.3e energy=%.6e",
@@ -316,6 +403,13 @@ def ldmm_reconstruct(
                     }
                 )
             u[t] = x.reshape(b.m, b.n)
+        if unconverged:
+            warnings.warn(
+                f"iteration {it}: gmres stopped short of tolerance on bands "
+                f"{sorted(unconverged)}, worst residual {max(unconverged.values()):.3e}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         rec: dict = {"iteration": it, "lambda": lam, "mean_degree": mean_degree,
                      "graph_secs": graph_secs, "secs": time.perf_counter() - t0}
         if ref is not None:

@@ -1,6 +1,10 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import hsldmm.solver as solver_mod
 from hsldmm import (
@@ -37,6 +41,37 @@ def small_graph(m, n, B, s, k, seed):
     table = knn_exact(patches, k)
     wt = assemble_wtilde(build_bar_w(patches, table, local_scale(table, max(2, k // 2))), geom)
     return cube, geom, wt
+
+
+def diags_assembly(wtilde, mask, lam, rate):
+    """Reference band operator in sparse-product form:
+    (2 + mu chi)(D - W) + mu (D_omega - W chi) + lam chi."""
+    W = wtilde.tocsr()
+    chi = np.asarray(mask, dtype=np.float64).reshape(-1)
+    mu = 1.0 / rate - 1.0
+    deg = np.asarray(W.sum(axis=1)).reshape(-1)
+    lap = sp.diags(deg) - W
+    return (
+        sp.diags(2.0 + mu * chi) @ lap
+        + mu * (sp.diags(W @ chi) - W @ sp.diags(chi))
+        + lam * sp.diags(chi)
+    ).tocsr()
+
+
+def scipy_gmres(system, x0, cfg):
+    """Reference solve: scipy's gmres with the same Jacobi preconditioner.
+    Its budget counts whole restart cycles, so callers pick budgets that
+    are multiples of the restart length."""
+    A = system.A
+    inv_diag = 1.0 / A.diagonal()
+    M = spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
+    history = []
+    x, info = spla.gmres(
+        A, system.rhs, x0=x0, rtol=cfg.gmres_tol, atol=0.0, restart=cfg.gmres_restart,
+        maxiter=math.ceil(cfg.gmres_max_iters / cfg.gmres_restart), M=M,
+        callback=history.append, callback_type="pr_norm",
+    )
+    return x, len(history), info == 0
 
 
 def test_config_validation():
@@ -118,6 +153,31 @@ def test_assemble_diagonal_dominance():
     assert np.all(slack[sampled] > 0)
 
 
+def test_assemble_matches_sparse_product_form():
+    rng = np.random.default_rng(40)
+    graphs = [small_graph(6, 6, 1, s, k, seed)[2] for seed, (s, k) in enumerate([(1, 4), (2, 6), (2, 12)])]
+    for seed in range(3):
+        # random non-negative graphs that store no diagonal entry at all
+        g = sp.random(36, 36, density=0.15, random_state=seed, format="lil")
+        g.setdiag(0.0)
+        g = g.tocsr()
+        g.eliminate_zeros()
+        graphs.append(g)
+    graphs.append(sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])))
+    for wt in graphs:
+        n = wt.shape[0]
+        for rate in (1.0, 0.5, 0.2, 0.05):
+            mask = rng.random(n) < max(rate, 0.1)
+            lam = float(rng.choice([0.0, 0.7, 30.0]))
+            got = assemble_band_system(wt, mask, rng.standard_normal(n), lam, rate).A
+            assert got.has_canonical_format
+            got, want = got.toarray(), diags_assembly(wt, mask, lam, rate).toarray()
+            if rate == 1.0:
+                assert np.array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
 def test_assemble_validation():
     wt = sp.identity(4, format="csr")
     with pytest.raises(ValueError):
@@ -170,6 +230,64 @@ def test_solve_zero_diagonal_reports_row():
     system = assemble_band_system(wt, mask, np.ones((3, 3)), 1.0, 1.0)
     with pytest.raises(NumericalError, match="row"):
         solve_band(system, np.zeros(9), SolverConfig())
+
+
+def gmres_cases():
+    """Band systems on random kNN graphs, masks, rates and lambdas, with warm
+    starts zero or random (the 36-pixel grids also run with restart > n),
+    then a zero right-hand side and a warm start that is already a solution."""
+    rng = np.random.default_rng(41)
+    for seed in range(12):
+        m = int(rng.choice([6, 8]))
+        k = int(rng.choice([6, 8]))
+        cube, geom, wt = small_graph(m, m, 1, 2, k, 50 + seed)
+        rate = float(rng.choice([1.0, 0.5, 0.2, 0.05]))
+        mask = make_mask((m, m, 1), rate, seed).band(0)
+        lam = float(rng.choice([1.0, 100.0])) * float(wt.sum()) / (m * m)
+        system = assemble_band_system(wt, mask, cube.band(0), lam, rate)
+        x0 = rng.standard_normal(m * m) if seed % 2 else np.zeros(m * m)
+        tol = float(rng.choice([1e-6, 1e-10]))
+        restart = int(rng.choice([10, 30, 60]))
+        yield system, x0, SolverConfig(gmres_tol=tol, gmres_restart=restart, gmres_max_iters=restart * 40)
+    cfg = SolverConfig(gmres_restart=30, gmres_max_iters=300)
+    cube, geom, wt = small_graph(6, 6, 1, 2, 8, 60)
+    mask = make_mask((6, 6, 1), 0.3, 61).band(0)
+    yield assemble_band_system(wt, mask, np.zeros((6, 6)), 5.0, 0.3), rng.standard_normal(36), cfg
+    system = assemble_band_system(wt, mask, cube.band(0), 5.0, 0.3)
+    yield system, dense_solve(system), cfg
+
+
+def test_gmres_matches_scipy_reference():
+    # well-posed systems only: on numerically singular ones (cond ~ 1e16)
+    # a restarted run stagnates and last-bit differences between
+    # orthogonalisation schemes move the iteration count
+    for system, x0, cfg in gmres_cases():
+        x, iters, _, ok = _gmres(system, x0, cfg)
+        x_ref, iters_ref, ok_ref = scipy_gmres(system, x0, cfg)
+        assert (iters, ok) == (iters_ref, ok_ref)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_gmres_reports_true_preconditioned_residual():
+    cube, geom, wt = small_graph(8, 8, 1, 2, 8, 63)
+    mask = make_mask((8, 8, 1), 0.2, 64).band(0)
+    system = assemble_band_system(wt, mask, cube.band(0), 50.0, 0.2)
+    d = system.A.diagonal()
+    for budget in (3, 500):
+        x, _, resid, _ = _gmres(system, np.zeros(64), SolverConfig(gmres_max_iters=budget))
+        direct = np.linalg.norm((system.rhs - system.A @ x) / d) / np.linalg.norm(system.rhs / d)
+        assert math.isclose(resid, direct, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("restart, budget", [(30, 1), (30, 45), (7, 20)])
+def test_gmres_budget_caps_inner_iterations_exactly(restart, budget):
+    cube, geom, wt = small_graph(8, 8, 1, 2, 8, 65)
+    mask = make_mask((8, 8, 1), 0.2, 66).band(0)
+    system = assemble_band_system(wt, mask, cube.band(0), 50.0, 0.2)
+    # a tolerance at round-off level, so only the budget can stop the run
+    cfg = SolverConfig(gmres_tol=1e-16, gmres_restart=restart, gmres_max_iters=budget)
+    _, iters, _, ok = _gmres(system, np.zeros(64), cfg)
+    assert iters == budget and not ok
 
 
 def test_solve_warns_when_budget_exhausted():
@@ -338,6 +456,27 @@ def test_ldmm_logs_energies_and_psnr():
     assert "psnr_paper" in log.iterations[0]
     summary = log.summary()
     assert "iter1_psnr_standard" in summary and "gmres_total_iters" in summary
+
+
+def test_ldmm_warns_once_per_iteration_when_gmres_stops_short():
+    cube = synth_cube(SyntheticSpec(8, 8, 3, 2, smoothness=1.5, seed=29))
+    masks = make_mask(cube.dims, 0.3, 30)
+    b = apply_mask(cube, masks)
+    log = RunLog()
+    cfg = SolverConfig(k=8, r_sigma=4, outer_iters=2, gmres_max_iters=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ldmm_reconstruct(b, masks, cfg, b, log=log)
+    msgs = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    want = []
+    for it in (1, 2):
+        short = [r for r in log.bands if r["iteration"] == it and not r["converged"]]
+        assert short and all(r["gmres_iters"] == 1 for r in short)
+        want.append(
+            f"iteration {it}: gmres stopped short of tolerance on bands "
+            f"{[r['band'] for r in short]}, worst residual {max(r['residual'] for r in short):.3e}"
+        )
+    assert msgs == want
 
 
 def test_ldmm_nan_iterate_aborts(monkeypatch):
