@@ -3,7 +3,6 @@ shift-summed matrix shared by every spectral band."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ __all__ = [
     "local_scale",
     "build_bar_w",
     "assemble_wtilde",
-    "graph_triples",
 ]
 
 
@@ -40,79 +38,91 @@ class NeighborTable:
         object.__setattr__(self, "sq_dists", d2)
 
     @property
-    def n_rows(self) -> int:
-        return self.indices.shape[0]
-
-    @property
     def k(self) -> int:
         return self.indices.shape[1]
 
 
-def _smallest_k(D: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row: indices and values of the k smallest entries of D, ordered by
-    (value, index). Assumes the caller already planted unique sentinels where
-    a row must win outright."""
-    nb, N = D.shape
-    if k < N:
-        cand = np.argpartition(D, k - 1, axis=1)[:, :k]
-        cand.sort(axis=1)  # index-ascending so a stable value sort breaks ties by index
-        vals = np.take_along_axis(D, cand, axis=1)
-        order = np.argsort(vals, axis=1, kind="stable")
-        sel = np.take_along_axis(cand, order, axis=1)
-        selv = np.take_along_axis(vals, order, axis=1)
-        # ties straddling the selection boundary need an exact per-row pass
-        boundary = selv[:, -1][:, None]
-        bad = np.nonzero((D <= boundary).sum(axis=1) > k)[0]
-        for r in bad:
-            full = np.argsort(D[r], kind="stable")[:k]
-            sel[r] = full
-            selv[r] = D[r][full]
-    else:
-        order = np.argsort(D, axis=1, kind="stable")
-        sel = order[:, :k]
-        selv = np.take_along_axis(D, sel, axis=1)
-    return sel, selv
+# settle temporaries stay near 1 MiB; larger ones only raised peak memory
+_CHUNK_BYTES = 1 << 20
 
 
-def knn_exact(
-    patches: np.ndarray,
-    k: int,
-    *,
-    block_rows: int = 2048,
-    direct_limit: int = 2048,
-) -> NeighborTable:
+def _pair_sq_dists(P: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """((P[x] - P[y])**2).sum() per index pair, the oracle's difference form."""
+    out = np.empty(x.size)
+    step = max(1, _CHUNK_BYTES // (8 * max(1, P.shape[1])))
+    for a in range(0, x.size, step):
+        diff = P[x[a : a + step]] - P[y[a : a + step]]
+        np.square(diff, out=diff)
+        out[a : a + step] = diff.sum(axis=1)
+    return out
+
+
+def _smallest_k(
+    D: np.ndarray, k: int, P: np.ndarray, rows: np.ndarray, tol: np.ndarray, zero: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest neighbors of ``rows`` exactly as the oracle ranks them:
+    by (difference-form distance, index), the row itself first.
+
+    ``D`` holds the screened squared distances of ``rows``, each within
+    ``tol`` of the difference form. Every exact neighbor then screens within
+    2*tol of the screened k-th value, so only that band is settled exactly;
+    a row without near ties has exactly k entries in it.
+    """
+    nb = D.shape[0]
+    D[np.arange(nb), rows] = -np.inf  # the row itself ranks first
+    edge = np.partition(D, k - 1, axis=1)[:, k - 1] + 2.0 * tol  # a view would pin the copy
+    band = D <= edge[:, None]
+    counts = np.count_nonzero(band, axis=1)
+    step = max(1, _CHUNK_BYTES // (8 * int(counts.max())))  # rows per chunk of band entries
+    idx = np.empty((nb, k), dtype=np.int64)
+    d2 = np.empty((nb, k))
+    for lo in range(0, nb, step):
+        chunk = slice(lo, lo + step)
+        r, c = np.divmod(np.flatnonzero(band[chunk]), D.shape[1])  # faster than 2-d nonzero
+        x = rows[lo + r]
+        e = np.zeros(r.size)
+        live = ~(zero[x] & zero[c])  # two all-zero patches are exactly 0 apart in either form
+        e[live] = _pair_sq_dists(P, x[live], c[live])
+        e[c == x] = -np.inf
+        order = np.lexsort((e, r))  # stable: equal distances keep index order
+        first = order[(np.cumsum(counts[chunk]) - counts[chunk])[:, None] + np.arange(k)]
+        idx[chunk] = c[first]
+        d2[chunk] = e[first]
+    d2[:, 0] = 0.0
+    return idx, d2
+
+
+def knn_exact(patches: np.ndarray, k: int, *, block_rows: int = 2048) -> NeighborTable:
     """Exact k nearest neighbors under squared Euclidean distance.
 
-    Blocked exhaustive search; deterministic for fixed input regardless of
-    ``block_rows``. Below ``direct_limit`` points the distances come from the
-    plain elementwise difference form; above it a Gram-based form is used
-    (same neighbor sets, cheaper at scale). The query point itself is always
-    the first neighbor.
+    Bitwise the answer of ``oracle.naive_knn`` for any ``block_rows``. Each
+    block of rows is screened by one Gram GEMM, so memory is O(block_rows*N);
+    a rigorous rounding bound (gamma_n, Higham 2002, sec. 3.1) decides which
+    candidates the exact difference form must settle.
     """
     P = np.ascontiguousarray(patches, dtype=np.float64)
     if P.ndim != 2:
         raise ValueError(f"patch matrix must be 2-d, got shape {P.shape}")
-    N = P.shape[0]
+    N, d = P.shape
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= {N}, got k={k}")
-    use_gram = N > direct_limit
-    if use_gram:
-        sq_norms = np.einsum("ij,ij->i", P, P)
+    if block_rows < 1:
+        raise ValueError(f"block_rows must be positive, got {block_rows}")
+    sq_norms = np.einsum("ij,ij->i", P, P)
+    top = float(sq_norms.max())
+    if not np.isfinite(8.0 * top):  # a NaN or inf entry, or squared norms near overflow
+        raise ValueError("patches must be finite, with squared norms well inside float64 range")
+    # at least twice the gamma_n bound on |Gram form - difference form|; tiny covers underflow
+    tol = 4.0 * (d + 3) * (np.finfo(float).eps * (sq_norms + top) + np.finfo(float).tiny)
+    zero = ~P.any(axis=1)
     idx_out = np.empty((N, k), dtype=np.int64)
     d2_out = np.empty((N, k), dtype=np.float64)
     for start in range(0, N, block_rows):
         stop = min(start + block_rows, N)
-        if use_gram:
-            D = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * (P[start:stop] @ P.T)
-            np.maximum(D, 0.0, out=D)
-        else:
-            D = ((P[start:stop, None, :] - P[None, :, :]) ** 2).sum(axis=2)
-        rows = np.arange(stop - start)
-        D[rows, np.arange(start, stop)] = -1.0  # self sentinel: ranked first
-        sel, selv = _smallest_k(D, k)
-        selv[:, 0] = 0.0  # self distance is exactly zero
-        idx_out[start:stop] = sel
-        d2_out[start:stop] = selv
+        rows = np.arange(start, stop)
+        D = sq_norms[start:stop, None] + sq_norms - 2.0 * (P[start:stop] @ P.T)
+        idx_out[start:stop], d2_out[start:stop] = _smallest_k(D, k, P, rows, tol[start:stop], zero)
+        del D  # free this block before the next GEMM
     return NeighborTable(indices=idx_out, sq_dists=d2_out)
 
 
@@ -126,10 +136,8 @@ def local_scale(table: NeighborTable, r_sigma: int) -> np.ndarray:
     if not 2 <= r_sigma <= table.k:
         raise ValueError(f"need 2 <= r_sigma <= k={table.k}, got {r_sigma}")
     sigma = np.sqrt(table.sq_dists[:, r_sigma - 1])
-    for r in np.nonzero(sigma == 0.0)[0]:
-        pos = table.sq_dists[r][table.sq_dists[r] > 0.0]
-        sigma[r] = math.sqrt(pos.min()) if pos.size else 1.0
-    return sigma
+    nearest = np.where(table.sq_dists > 0.0, table.sq_dists, np.inf).min(axis=1)
+    return np.where(sigma > 0.0, sigma, np.where(nearest < np.inf, np.sqrt(nearest), 1.0))
 
 
 def build_bar_w(patches: np.ndarray, table: NeighborTable, sigma: np.ndarray) -> sp.csr_matrix:
@@ -174,10 +182,3 @@ def assemble_wtilde(bar_w: sp.csr_matrix, geom: PatchGeometry) -> sp.csr_matrix:
     acc.sort_indices()
     return acc
 
-
-def graph_triples(g: sp.spmatrix) -> str:
-    """Debug dump: one 'row col weight' line per stored entry, sorted."""
-    coo = g.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [f"{int(coo.row[i])} {int(coo.col[i])} {float(coo.data[i])!r}" for i in order]
-    return "\n".join(lines) + ("\n" if lines else "")

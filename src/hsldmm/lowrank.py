@@ -33,7 +33,6 @@ class ApgConfig:
     n_stages: int = 5
     max_iters: int = 200
     tol: float = 1e-4
-    svd_rank_cap: int | None = None
 
     def __post_init__(self):
         if not 0.0 < self.mu_decay < 1.0:
@@ -55,7 +54,7 @@ def _thin_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sig, V
 
 
-def svt(M: np.ndarray, tau: float, rank_cap: int | None = None) -> np.ndarray:
+def svt(M: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding: shrink every singular value by tau.
 
     Proximal operator of tau * nuclear norm, computed through the Gram
@@ -66,8 +65,6 @@ def svt(M: np.ndarray, tau: float, rank_cap: int | None = None) -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     sig, V = _thin_svd(M)
     shrunk = np.maximum(sig - tau, 0.0)
-    if rank_cap is not None:
-        shrunk[rank_cap:] = 0.0
     ratio = np.divide(shrunk, sig, out=np.zeros_like(sig), where=sig > 0)
     return (M @ V) * ratio @ V.T
 
@@ -101,7 +98,7 @@ def _apg_stage(
     t = 1.0
     for _ in range(cfg.max_iters):
         G = np.where(obs, Y - b, 0.0)
-        Z = svt(Y - G, mu, cfg.svd_rank_cap)
+        Z = svt(Y - G, mu)
         F_Z = completion_objective(Z, obs, b, mu)
         if F_Z <= F_X:
             X_new, F_new = Z, F_Z

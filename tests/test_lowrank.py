@@ -54,13 +54,6 @@ def test_svt_matches_full_svd_variant():
     assert np.allclose(svt(M, tau), want, atol=1e-12)
 
 
-def test_svt_rank_cap():
-    rng = np.random.default_rng(3)
-    M = rng.standard_normal((25, 6))
-    out = svt(M, 0.0, rank_cap=2)
-    assert np.linalg.matrix_rank(out, tol=1e-8) <= 2
-
-
 def test_svt_firmly_nonexpansive():
     rng = np.random.default_rng(4)
     for _ in range(10):
