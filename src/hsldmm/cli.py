@@ -117,9 +117,8 @@ def _solver_config(args) -> SolverConfig:
         merged.update(_load_config_file(Path(args.config)))
     if args.patch is not None:
         merged["s1"], merged["s2"] = _parse_patch(args.patch)
-    for key in ("k", "r_sigma", "lambda_rel", "outer_iters", "gmres_tol",
-                "gmres_restart", "gmres_max_iters", "psnr_formula", "seed"):
-        val = getattr(args, key)
+    for key in CONFIG_KEYS:
+        val = getattr(args, key, None)  # s1 and s2 have no flags of their own
         if val is not None:
             merged[key] = val
     return SolverConfig(**merged)

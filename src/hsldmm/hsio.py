@@ -79,6 +79,8 @@ def read_cube(path) -> DataCube:
     if len(blob) - off != count * 4:
         raise FormatError(f"{path}: payload is {len(blob) - off} bytes, expected {count * 4}")
     values = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: payload holds non-finite values")
     return DataCube(values.astype(np.float64).reshape(B, m, n))
 
 

@@ -3,7 +3,6 @@ alternates graph construction with band-by-band solves."""
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 import warnings
@@ -26,8 +25,6 @@ __all__ = [
     "wnll_energy",
     "ldmm_reconstruct",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class NumericalError(RuntimeError):
@@ -94,7 +91,9 @@ class BandSystem:
 
 @dataclass
 class RunLog:
-    """Optional collector for per-band and per-iteration diagnostics."""
+    """Optional collector for per-band and per-iteration records: the run's
+    whole record besides its ``RuntimeWarning``s. ``summary`` flattens it
+    into manifest entries."""
 
     bands: list = field(default_factory=list)
     iterations: list = field(default_factory=list)
@@ -108,6 +107,7 @@ class RunLog:
                     out[f"iter{it}_{key}"] = val
         if self.bands:
             out["gmres_total_iters"] = sum(r["gmres_iters"] for r in self.bands)
+            out["gmres_nonconverged"] = sum(not r["converged"] for r in self.bands)
         return out
 
 
@@ -340,7 +340,7 @@ def ldmm_reconstruct(
     kNN similarity graph on the spatial grid, shift-sums it, and then solves
     the per-band systems by warm-started GMRES. All bands in an iteration
     share the same graph; that sharing is what keeps the cost flat in the
-    number of bands. ``ref`` enables per-iteration PSNR logging.
+    number of bands. ``ref`` adds per-iteration PSNR to ``log``.
     """
     if b.dims != masks.dims:
         raise ValueError(f"cube dims {b.dims} do not match mask dims {masks.dims}")
@@ -366,30 +366,19 @@ def ldmm_reconstruct(
         mean_degree = float(wtilde.sum()) / n_pix
         lam = cfg.lambda_rel * mean_degree
         graph_secs = time.perf_counter() - t0
-        logger.info(
-            "iter=%d graph nnz=%d mean_degree=%.4f lambda=%.4e secs=%.3f",
-            it, wtilde.nnz, mean_degree, lam, graph_secs,
-        )
         unconverged: dict[int, float] = {}
         for t in range(b.B):
             system = assemble_band_system(
                 wtilde, masks.band(t), b.band(t), lam, float(rates[t]), band=t
             )
-            x0 = u[t].reshape(-1)
-            energy_start = wnll_energy(x0, wtilde, masks.band(t), b.band(t), lam, float(rates[t]))
             try:
-                x, iters, resid, converged = _gmres(system, x0, cfg)
+                x, iters, resid, converged = _gmres(system, u[t].reshape(-1), cfg)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
             if not np.all(np.isfinite(x)):
                 raise NumericalError(f"non-finite band solution at iteration {it}, band {t}")
             if not converged:
                 unconverged[t] = resid
-            energy_end = wnll_energy(x, wtilde, masks.band(t), b.band(t), lam, float(rates[t]))
-            logger.info(
-                "iter=%d band=%d gmres_iters=%d residual=%.3e energy=%.6e",
-                it, t, iters, resid, energy_end,
-            )
             if log is not None:
                 log.bands.append(
                     {
@@ -398,8 +387,6 @@ def ldmm_reconstruct(
                         "gmres_iters": iters,
                         "residual": resid,
                         "converged": converged,
-                        "energy_start": energy_start,
-                        "energy_end": energy_end,
                     }
                 )
             u[t] = x.reshape(b.m, b.n)
@@ -411,14 +398,12 @@ def ldmm_reconstruct(
                 stacklevel=2,
             )
         rec: dict = {"iteration": it, "lambda": lam, "mean_degree": mean_degree,
-                     "graph_secs": graph_secs, "secs": time.perf_counter() - t0}
+                     "nnz": wtilde.nnz, "graph_secs": graph_secs,
+                     "secs": time.perf_counter() - t0}
         if ref is not None:
             met = psnr(DataCube(u), ref, cfg.psnr_formula)
             rec["psnr_paper"] = met.psnr_paper
             rec["psnr_standard"] = met.psnr_standard
-            logger.info(
-                "iter=%d psnr_paper=%.4f psnr_standard=%.4f", it, met.psnr_paper, met.psnr_standard
-            )
         if log is not None:
             log.iterations.append(rec)
     return DataCube(u)

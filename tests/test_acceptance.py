@@ -161,15 +161,26 @@ def test_c05_energy_descent():
             cube = synth_cube(SyntheticSpec(6, 6, 2, 2, smoothness=1.0, seed=seed))
             masks = make_mask(cube.dims, 0.3, seed + 100)
             b = apply_mask(cube, masks)
-            cfg = SolverConfig(
-                s1=2, s2=2, k=8, r_sigma=4, lambda_rel=10.0,
-                outer_iters=2, gmres_tol=1e-10, gmres_max_iters=2000,
-            )
-            log = RunLog()
-            ldmm_reconstruct(b, masks, cfg, b, log=log)
-            for rec in log.bands:
-                assert rec["energy_end"] <= rec["energy_start"] * (1 + 1e-12)
-                checked += 1
+            opts = dict(s1=2, s2=2, k=8, r_sigma=4, lambda_rel=10.0,
+                        gmres_tol=1e-10, gmres_max_iters=2000)
+            rates = masks.rates()
+            # two chained single-iteration runs, each band solve checked on
+            # the graph and fidelity weight that outer iteration used
+            u = b
+            for _ in range(2):
+                log = RunLog()
+                out = ldmm_reconstruct(b, masks, SolverConfig(outer_iters=1, **opts), u, log=log)
+                _, wt = band_graph(u, 2, 8, 4)
+                lam = opts["lambda_rel"] * (float(wt.sum()) / (cube.m * cube.n))
+                assert lam == log.iterations[0]["lambda"]
+                for t in range(cube.B):
+                    args = (wt, masks.band(t), b.band(t), lam, float(rates[t]))
+                    e_start, e_end = wnll_energy(u.band(t), *args), wnll_energy(out.band(t), *args)
+                    assert e_end <= e_start * (1 + 1e-12)
+                    checked += 1
+                u = out
+            whole = ldmm_reconstruct(b, masks, SolverConfig(outer_iters=2, **opts), b)
+            assert np.array_equal(u.values, whole.values)
         assert checked == 10 * 2 * 2
 
 

@@ -140,6 +140,8 @@ def test_reconstruct_pipeline_with_manifest(tmp_path, capsys):
     assert manifest["outer_iters"] == 2
     assert manifest["status"] == "ok"
     assert "iter2_psnr_standard" in manifest
+    assert manifest["iter1_nnz"] > 0
+    assert manifest["gmres_nonconverged"] == 0
     assert "secs_init" in manifest and "secs_reconstruct" in manifest
     # reconstruction beats the zero-filled observation
     rec_cube = read_cube(rec)
@@ -171,6 +173,19 @@ def test_reconstruct_config_file_and_flag_precedence(tmp_path, capsys):
     manifest = parse_manifest((tmp_path / "rec.manifest").read_text())
     assert manifest["k"] == 8       # flag wins
     assert manifest["outer_iters"] == 1  # config wins over default
+
+
+def test_reconstruct_manifest_counts_starved_gmres(tmp_path, capsys):
+    gt, obs, mask = corrupted(tmp_path, capsys)
+    rec = tmp_path / "rec.hsc"
+    with pytest.warns(RuntimeWarning, match="gmres stopped short"):
+        code, _, _ = run(
+            ["reconstruct", str(obs), str(mask), "-o", str(rec), "--outer", "1",
+             "--k", "10", "--r-sigma", "5", "--init", "zero", "--gmres-maxiter", "1"], capsys)
+    assert code == 0
+    manifest = parse_manifest((tmp_path / "rec.manifest").read_text())
+    assert manifest["gmres_max_iters"] == 1
+    assert manifest["gmres_nonconverged"] > 0
 
 
 def test_reconstruct_init_file(tmp_path, capsys):
@@ -234,6 +249,17 @@ def test_eval_dim_mismatch(tmp_path, capsys):
     write_cube(b, DataCube(np.ones((1, 5, 5))))
     code, _, _ = run(["eval", str(a), str(b)], capsys)
     assert code == 1
+
+
+def test_eval_non_finite_file_is_io_error_naming_it(tmp_path, capsys):
+    gt = make_gt(tmp_path, capsys)
+    bad = tmp_path / "nan.hsc"
+    blob = bytearray(gt.read_bytes())
+    blob[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    bad.write_bytes(bytes(blob))
+    code, _, err = run(["eval", str(bad), str(gt)], capsys)
+    assert code == 2
+    assert str(bad) in err and "non-finite" in err
 
 
 # --- export-band ------------------------------------------------------------------
