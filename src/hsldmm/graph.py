@@ -3,6 +3,7 @@ shift-summed matrix shared by every spectral band."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,10 @@ class NeighborTable:
 
 # settle temporaries stay near 1 MiB; larger ones only raised peak memory
 _CHUNK_BYTES = 1 << 20
+# one float32 screen block; of 2, 4 and 8 MiB, 2 MiB was as fast or faster on
+# every benchmark workload. Its partitioned copy and a boolean band mask are
+# the screen's only other temporaries of that shape
+_BLOCK_BYTES = 2 << 20
 
 
 def _pair_sq_dists(P: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -64,13 +69,16 @@ def _smallest_k(
     by (difference-form distance, index), the row itself first.
 
     ``D`` holds the screened squared distances of ``rows``, each within
-    ``tol`` of the difference form. Every exact neighbor then screens within
-    2*tol of the screened k-th value, so only that band is settled exactly;
-    a row without near ties has exactly k entries in it.
+    ``tol`` of the difference form in the screen's units. Every exact
+    neighbor then screens within 2*tol of the screened k-th value, so only
+    that band is settled exactly; a row without near ties has exactly k
+    entries in it.
     """
     nb = D.shape[0]
     D[np.arange(nb), rows] = -np.inf  # the row itself ranks first
-    edge = np.partition(D, k - 1, axis=1)[:, k - 1] + 2.0 * tol  # a view would pin the copy
+    # rounding to nearest is monotone, so no screened value <= the exact edge
+    # is dropped; taking the copy's column by value frees the partitioned copy
+    edge = (np.partition(D, k - 1, axis=1)[:, k - 1] + 2.0 * tol).astype(D.dtype)
     band = D <= edge[:, None]
     counts = np.count_nonzero(band, axis=1)
     step = max(1, _CHUNK_BYTES // (8 * int(counts.max())))  # rows per chunk of band entries
@@ -92,13 +100,31 @@ def _smallest_k(
     return idx, d2
 
 
-def knn_exact(patches: np.ndarray, k: int, *, block_rows: int = 2048) -> NeighborTable:
+def knn_exact(patches: np.ndarray, k: int) -> NeighborTable:
     """Exact k nearest neighbors under squared Euclidean distance.
 
-    Bitwise the answer of ``oracle.naive_knn`` for any ``block_rows``. Each
-    block of rows is screened by one Gram GEMM, so memory is O(block_rows*N);
-    a rigorous rounding bound (gamma_n, Higham 2002, sec. 3.1) decides which
-    candidates the exact difference form must settle.
+    Bitwise the answer of ``oracle.naive_knn``. The patches are centred on
+    their mean in float64, scaled by 2**s so that max |entry| lies in
+    [0.5, 1) (exact), and cast to float32 ``Q``. Each block of about
+    ``_BLOCK_BYTES`` is screened by one float32 Gram form
+    ``n_x + n_y - 2 q_x.q_y``, with ``n`` the squared norms of ``Q`` summed
+    in float64, and its rows are settled as in ``_smallest_k``.
+
+    Certificate, in scaled units. Let u = 2**-24 and t = 2**-126 be float32's
+    unit roundoff and smallest normal, u64 and t64 float64's, and
+    M = |q_x|^2 + |q_y|^2 <= 2d. To first order the screen differs from
+    4**s times the oracle's difference form by at most:
+    the Gram form, 2 gamma_d |q_x||q_y| <= d u M (gamma_n, Higham 2002,
+    sec. 3.1); the norm casts, u M; the two additions, of size <= 2M and
+    <= 3M, 5 u M; centring (u64 per entry) and the float32 cast (u per
+    entry), which perturb each difference by b with
+    2 |q_x - q_y| |b| <= 4 (u + u64) M; subnormal or flushed float32 values,
+    (2d + 4 + 8d) t; the oracle's rounding, 2 (d + 2) u64 M, and its
+    squares that underflow, d t64 4**s. So (d + 10) u M + (10d + 4) t plus
+    the oracle's terms, and doubling covers these, the norms' float64 sums
+    and every second-order term:
+    tol = 2 (d + 10) (u M + 10 t) + 2 d t64 4**s, with M taken at the row's
+    and the largest norm.
     """
     P = np.ascontiguousarray(patches, dtype=np.float64)
     if P.ndim != 2:
@@ -106,23 +132,35 @@ def knn_exact(patches: np.ndarray, k: int, *, block_rows: int = 2048) -> Neighbo
     N, d = P.shape
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= {N}, got k={k}")
-    if block_rows < 1:
-        raise ValueError(f"block_rows must be positive, got {block_rows}")
     sq_norms = np.einsum("ij,ij->i", P, P)
     top = float(sq_norms.max())
     if not np.isfinite(8.0 * top):  # a NaN or inf entry, or squared norms near overflow
         raise ValueError("patches must be finite, with squared norms well inside float64 range")
-    # at least twice the gamma_n bound on |Gram form - difference form|; tiny covers underflow
-    tol = 4.0 * (d + 3) * (np.finfo(float).eps * (sq_norms + top) + np.finfo(float).tiny)
+    C = P - P.mean(axis=0)  # differences are translation invariant; float32 keeps the spread
+    s = -int(np.frexp(np.abs(C).max(initial=0.0))[1])
+    np.ldexp(C, s, out=C)  # max |entry| in [0.5, 1): no float32 overflow, few subnormals
+    Q = C.astype(np.float32)
+    del C
+    q2 = np.einsum("ij,ij->i", Q, Q, dtype=np.float64)
+    n = q2.astype(np.float32)
+    u, t = 2.0**-24, float(np.finfo(np.float32).tiny)
+    # past 4**515 the underflow term exceeds every screened value: all rows settle
+    under = math.ldexp(2.0 * d * np.finfo(np.float64).tiny, min(2 * s, 1030))
+    tol = 2.0 * (d + 10) * (u * (q2 + q2.max()) + 10.0 * t) + under
     zero = ~P.any(axis=1)
     idx_out = np.empty((N, k), dtype=np.int64)
     d2_out = np.empty((N, k), dtype=np.float64)
+    block_rows = max(1, _BLOCK_BYTES // (4 * N))
+    block = np.empty((min(block_rows, N), N), dtype=np.float32)
     for start in range(0, N, block_rows):
         stop = min(start + block_rows, N)
+        D = block[: stop - start]
+        np.matmul(Q[start:stop], Q.T, out=D)
+        D *= -2.0
+        D += n[start:stop, None]
+        D += n
         rows = np.arange(start, stop)
-        D = sq_norms[start:stop, None] + sq_norms - 2.0 * (P[start:stop] @ P.T)
         idx_out[start:stop], d2_out[start:stop] = _smallest_k(D, k, P, rows, tol[start:stop], zero)
-        del D  # free this block before the next GEMM
     return NeighborTable(indices=idx_out, sq_dists=d2_out)
 
 

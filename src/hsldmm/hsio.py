@@ -43,8 +43,12 @@ def _parse_header(blob: bytes, path: Path) -> tuple[int, int, int, str, int]:
     end = blob.find(b"\n", len(MAGIC))
     if end < 0:
         raise FormatError(f"{path}: unterminated header line")
+    try:
+        line = blob[len(MAGIC) : end].decode("utf-8", "strict")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: header line is not UTF-8: {exc}") from exc
     fields = {}
-    for token in blob[len(MAGIC) : end].decode("utf-8", "strict").split(" "):
+    for token in line.split(" "):
         if "=" not in token:
             raise FormatError(f"{path}: bad header token {token!r}")
         key, val = token.split("=", 1)

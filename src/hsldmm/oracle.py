@@ -191,7 +191,14 @@ def _check_graph() -> bool:
     sigma = local_scale(table, 3)
     got = np.asarray(build_bar_w(pts, table, sigma).todense())
     want = naive_bar_w(pts, 5, 3)
-    return bool(np.allclose(got, want, rtol=1e-13, atol=0.0))
+    if not np.allclose(got, want, rtol=1e-13, atol=0.0):
+        return False
+    # the float32 screen's rounding depends on the installed BLAS; offset
+    # data also need the centring to keep the settled band narrow
+    pts = 1e4 + 1e-2 * rng.random((300, 6))
+    table = knn_exact(pts, 10)
+    idx, d2 = naive_knn(pts, 10)
+    return bool(np.array_equal(table.indices, idx) and np.array_equal(table.sq_dists, d2))
 
 
 def _check_solver() -> bool:

@@ -262,6 +262,14 @@ def test_eval_non_finite_file_is_io_error_naming_it(tmp_path, capsys):
     assert str(bad) in err and "non-finite" in err
 
 
+def test_eval_non_utf8_header_is_io_error_naming_it(tmp_path, capsys):
+    bad = tmp_path / "bad.hsc"
+    bad.write_bytes(b"HSC1\n\xff\xfem=1 n=1 B=1 dtype=f32 order=bsq\n" + bytes(4))
+    code, _, err = run(["eval", str(bad), str(bad)], capsys)
+    assert code == 2
+    assert str(bad) in err and "UTF-8" in err
+
+
 # --- export-band ------------------------------------------------------------------
 
 
