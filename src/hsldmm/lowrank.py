@@ -47,18 +47,15 @@ class ApgConfig:
 
 def _thin_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # One-sided: eigendecompose the small Gram matrix (B x B with B << rows).
-    G = M.T @ M
-    evals, V = np.linalg.eigh(G)
-    sig = np.sqrt(np.maximum(evals, 0.0))[::-1]
-    V = V[:, ::-1]
-    return sig, V
+    evals, V = np.linalg.eigh(M.T @ M)
+    return np.sqrt(np.maximum(evals, 0.0))[::-1], V[:, ::-1]
 
 
-def svt(M: np.ndarray, tau: float) -> np.ndarray:
+def svt(M: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """Singular value thresholding: shrink every singular value by tau.
 
-    Proximal operator of tau * nuclear norm, computed through the Gram
-    matrix of the short side.
+    Returns ``(Z, shrunk)``: the proximal point of tau * nuclear norm and its
+    singular values, largest first, both through the short side's Gram matrix.
     """
     if tau < 0:
         raise ValueError(f"tau must be non-negative, got {tau}")
@@ -66,53 +63,52 @@ def svt(M: np.ndarray, tau: float) -> np.ndarray:
     sig, V = _thin_svd(M)
     shrunk = np.maximum(sig - tau, 0.0)
     ratio = np.divide(shrunk, sig, out=np.zeros_like(sig), where=sig > 0)
-    return (M @ V) * ratio @ V.T
-
-
-def nuclear_norm(M: np.ndarray) -> float:
-    sig, _ = _thin_svd(M)
-    return float(sig.sum())
+    return M @ ((V * ratio) @ V.T), shrunk
 
 
 def completion_objective(X: np.ndarray, obs: np.ndarray, b: np.ndarray, mu: float) -> float:
     """0.5 * ||X - b||^2 over observed entries plus mu * nuclear norm."""
     resid = np.where(obs, X - b, 0.0)
-    return 0.5 * float((resid * resid).sum()) + mu * nuclear_norm(X)
+    return 0.5 * float((resid * resid).sum()) + mu * float(_thin_svd(X)[0].sum())
 
 
 def _apg_stage(
     X: np.ndarray,
-    obs: np.ndarray,
-    b: np.ndarray,
+    nuc_X: float,
+    idx: np.ndarray,
+    b_obs: np.ndarray,
     mu: float,
     cfg: ApgConfig,
     trace: list | None,
-) -> tuple[np.ndarray, bool]:
+) -> tuple[np.ndarray, float, bool]:
     # Monotone variant of FISTA: keep the best objective seen so the energy
     # trace never increases at fixed mu. Convergence is judged on the prox
     # sequence, which keeps moving even when the guard rejects a step.
-    Y = X.copy()
-    X_prev = X
-    Z_prev = X
-    F_X = completion_objective(X, obs, b, mu)
-    t = 1.0
+    r = X.take(idx) - b_obs
+    F_X = 0.5 * float(r @ r) + mu * nuc_X
+    Y, X_prev, Z_prev = X.copy(), X, X
+    t, norm_prev = 1.0, np.linalg.norm(X)
     for _ in range(cfg.max_iters):
-        G = np.where(obs, Y - b, 0.0)
-        Z = svt(Y - G, mu)
-        F_Z = completion_objective(Z, obs, b, mu)
-        if F_Z <= F_X:
-            X_new, F_new = Z, F_Z
-        else:
-            X_new, F_new = X_prev, F_X
+        Y.put(idx, b_obs)  # the prox input, built in Y's own buffer
+        Z, shrunk = svt(Y, mu)
+        r = Z.take(idx) - b_obs
+        F_Z = 0.5 * float(r @ r) + mu * float(shrunk.sum())
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        Y = X_new + (t / t_new) * (Z - X_new) + ((t - 1.0) / t_new) * (X_new - X_prev)
+        np.subtract(Z, X_prev, out=Y)
+        # X_prev is Z_prev unless the last step was rejected
+        step = np.linalg.norm(Y if X_prev is Z_prev else Z - Z_prev) / max(1.0, norm_prev)
+        if F_Z <= F_X:
+            Y *= (t - 1.0) / t_new
+            X_prev, F_X, nuc_X = Z, F_Z, float(shrunk.sum())
+        else:
+            Y *= t / t_new
+        Y += X_prev
         if trace is not None:
-            trace.append((mu, F_new))
-        step = np.linalg.norm(Z - Z_prev) / max(1.0, np.linalg.norm(Z_prev))
-        X_prev, F_X, t, Z_prev = X_new, F_new, t_new, Z
+            trace.append((mu, F_X))
+        t, Z_prev, norm_prev = t_new, Z, np.linalg.norm(Z)
         if step < cfg.tol:
-            return X_prev, True
-    return X_prev, False
+            return X_prev, nuc_X, True
+    return X_prev, nuc_X, False
 
 
 def apg_complete(
@@ -135,14 +131,17 @@ def apg_complete(
         raise ValueError("every band needs at least one sampled voxel")
     obs = np.ascontiguousarray(masks.masks.reshape(masks.B, -1).T)
     data = np.where(obs, b.unfold(), 0.0)
-    if cfg.mu_target is None:
-        mu_target = 0.01 * float(np.linalg.norm(data, 2))
-    else:
-        mu_target = cfg.mu_target
-    X = data.copy()
+    mu_target = cfg.mu_target
+    if mu_target is None:
+        mu_target = 0.01 * float(_thin_svd(data)[0][0])
+    # The Gram route overstates the nuclear norm of rank-deficient matrices, so
+    # it gives only the start's (data fits itself); the prox gives later ones.
+    X, nuc = data, completion_objective(data, obs, data, 1.0)
+    idx = np.flatnonzero(obs)
+    b_obs = data.take(idx)
     for stage in range(cfg.n_stages - 1, -1, -1):
         mu = mu_target / cfg.mu_decay**stage
-        X, converged = _apg_stage(X, obs, data, mu, cfg, trace)
+        X, nuc, converged = _apg_stage(X, nuc, idx, b_obs, mu, cfg, trace)
         if not converged:
             warnings.warn(
                 f"completion stage at mu={mu:.3e} stopped at max_iters={cfg.max_iters}",

@@ -261,8 +261,9 @@ def _check_roundtrip() -> bool:
 def _check_svt() -> bool:
     from .lowrank import svt
 
-    got = svt(np.diag([3.0, 1.0]), 2.0)
-    return bool(np.allclose(got, np.diag([1.0, 0.0]), atol=1e-12))
+    got, shrunk = svt(np.diag([3.0, 1.0]), 2.0)
+    return bool(np.allclose(got, np.diag([1.0, 0.0]), atol=1e-12)
+                and np.allclose(shrunk, [1.0, 0.0], atol=1e-12))
 
 
 def selfcheck(verbose: bool = True) -> bool:

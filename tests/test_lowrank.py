@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsldmm import (
     ApgConfig,
     DataCube,
+    MaskSet,
     SyntheticSpec,
     apg_complete,
     apply_mask,
@@ -11,7 +16,16 @@ from hsldmm import (
     psnr,
     synth_cube,
 )
+from hsldmm import lowrank
 from hsldmm.lowrank import completion_objective, svt
+
+EPS = np.finfo(np.float64).eps
+
+
+def low_rank(rng, shape, rank, scale, offset):
+    """scale * (a rank-``rank`` product of Gaussians) + offset."""
+    rows, cols = shape
+    return scale * (rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))) + offset
 
 
 def test_config_validation():
@@ -29,7 +43,7 @@ def test_config_validation():
 def test_svt_tau_zero_reproduces():
     rng = np.random.default_rng(0)
     M = rng.standard_normal((40, 7))
-    out = svt(M, 0.0)
+    out, _ = svt(M, 0.0)
     assert np.linalg.norm(out - M) <= 1e-10 * np.linalg.norm(M)
 
 
@@ -37,12 +51,12 @@ def test_svt_full_shrinkage_zeros():
     rng = np.random.default_rng(1)
     M = rng.standard_normal((20, 5))
     smax = np.linalg.norm(M, 2)
-    assert np.allclose(svt(M, smax), 0.0, atol=1e-12)
+    assert np.allclose(svt(M, smax)[0], 0.0, atol=1e-12)
 
 
 def test_svt_diagonal_closed_form():
     M = np.diag([3.0, 1.0])
-    assert np.allclose(svt(M, 2.0), np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(svt(M, 2.0)[0], np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_svt_matches_full_svd_variant():
@@ -51,7 +65,7 @@ def test_svt_matches_full_svd_variant():
     tau = 0.8
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     want = (U * np.maximum(s - tau, 0.0)) @ Vt
-    assert np.allclose(svt(M, tau), want, atol=1e-12)
+    assert np.allclose(svt(M, tau)[0], want, atol=1e-12)
 
 
 def test_svt_firmly_nonexpansive():
@@ -60,13 +74,45 @@ def test_svt_firmly_nonexpansive():
         A = rng.standard_normal((15, 5))
         B = rng.standard_normal((15, 5))
         tau = float(rng.random()) * 2.0
-        lhs = np.linalg.norm(svt(A, tau) - svt(B, tau))
+        lhs = np.linalg.norm(svt(A, tau)[0] - svt(B, tau)[0])
         assert lhs <= np.linalg.norm(A - B) * (1.0 + 1e-12)
 
 
 def test_svt_validation():
     with pytest.raises(ValueError):
         svt(np.eye(3), -0.5)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 12),
+    B=st.integers(1, 8),
+    rank=st.integers(0, 8),  # capped at min(n, B)
+    scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    offset=st.sampled_from([0.0, 1e3]),
+    frac=st.one_of(st.just(0.0), st.floats(0.0, 1.2, exclude_min=True)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_svt_contract(n, B, rank, scale, offset, frac, seed):
+    M = low_rank(np.random.default_rng(seed), (n, B), min(rank, n, B), scale, offset)
+    smax = float(np.linalg.norm(M, 2))
+    tau = frac * smax
+    Z, shrunk = svt(M, tau)
+    # the same product associated as (M @ V) * ratio @ V.T, two tall GEMMs
+    sig, V = lowrank._thin_svd(M)
+    ratio = np.divide(shrunk, sig, out=np.zeros_like(sig), where=sig > 0)
+    want = (M @ V) * ratio @ V.T
+    assert np.linalg.norm(Z - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.all(shrunk >= 0.0) and np.all(np.diff(shrunk) <= 0.0)
+    if tau > 0:
+        sv = np.zeros(B)
+        sv[: min(n, B)] = np.linalg.svd(Z, compute_uv=False)
+        # The Gram matrix's rounding, about eps * ||M||_F^2, moves each
+        # sigma^2; a value kept above tau moves by at most about that over
+        # tau. It is below 1e-12 * sigma_max once tau >= 1e-2 * sigma_max.
+        with np.errstate(over="ignore"):
+            gram = EPS * float((M * M).sum()) / tau
+        assert np.max(np.abs(sv - shrunk)) <= 1e-12 * smax + gram
 
 
 # --- apg_complete ------------------------------------------------------------
@@ -115,6 +161,109 @@ def test_many_band_completion_regression():
     got = psnr(out, cube, "standard").psnr_standard
     assert got > 30.0
     assert abs(got - 38.370174) <= 0.5
+
+
+def masked(rng, values, rate):
+    """The cube and a mask at ``rate`` with at least one sample per band."""
+    B, m, n = values.shape
+    masks = rng.random((B, m, n)) < rate
+    masks[:, rng.integers(m), rng.integers(n)] = True
+    masks = MaskSet(masks)
+    return apply_mask(DataCube(values), masks), masks
+
+
+@settings(max_examples=20)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    B=st.integers(1, 6),
+    rank=st.integers(1, 3),
+    scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    offset=st.sampled_from([0.0, 1e3]),
+    rate=st.sampled_from([0.2, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_guard_compares_true_objectives(m, n, B, rank, scale, offset, rate, seed):
+    # Every value the guard keeps is either the objective of that
+    # iteration's prox point, with the nuclear norm from a full SVD, or a
+    # kept value below it (a rejected step).
+    rng = np.random.default_rng(seed)
+    values = low_rank(rng, (B, m * n), min(rank, B), scale, offset).reshape(B, m, n)
+    b, masks = masked(rng, values, rate)
+    prox = []
+
+    def recording(M, tau):
+        Z, shrunk = svt(M, tau)
+        prox.append(Z)
+        return Z, shrunk
+
+    trace: list = []
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mp.setattr(lowrank, "svt", recording)
+        apg_complete(b, masks, ApgConfig(n_stages=3, max_iters=40), trace)
+    obs = masks.masks.reshape(B, -1).T
+    data = b.unfold()
+    accepted = 0
+    for (mu, f), Z in zip(trace, prox, strict=True):
+        resid = (Z - data)[obs]
+        want = 0.5 * float(resid @ resid) + mu * float(np.linalg.svd(Z, compute_uv=False).sum())
+        if abs(f - want) <= 1e-12 * abs(want):
+            accepted += 1
+        else:
+            assert f < want
+    assert accepted > 0
+
+
+def test_one_gram_eigendecomposition_per_iteration(monkeypatch):
+    cube = synth_cube(SyntheticSpec(16, 16, 8, 2, smoothness=2.0, seed=3))
+    masks = make_mask(cube.dims, 0.2, 4)
+    calls = []
+    thin_svd = lowrank._thin_svd
+
+    def counting(M):
+        calls.append(M.shape)
+        return thin_svd(M)
+
+    monkeypatch.setattr(lowrank, "_thin_svd", counting)
+    trace: list = []
+    apg_complete(apply_mask(cube, masks), masks, ApgConfig(n_stages=3, max_iters=50), trace)
+    assert trace and len(calls) <= len(trace) + 2
+
+
+@settings(max_examples=30)
+@given(
+    case=st.sampled_from(["one_band", "full_rate", "zero", "constant", "one_pixel"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apg_degenerate_inputs(case, seed):
+    rng = np.random.default_rng(seed)
+    m, n, B, rate = {
+        "one_band": (6, 5, 1, 0.3),
+        "full_rate": (6, 5, 4, 1.0),
+        "zero": (6, 5, 4, 0.3),  # mu_target = 0
+        "constant": (6, 5, 4, 0.3),
+        "one_pixel": (1, 1, 4, 1.0),
+    }[case]
+    values = low_rank(rng, (B, m * n), 1, 1.0, 0.0).reshape(B, m, n)
+    if case == "zero":
+        values[:] = 0.0
+    elif case == "constant":
+        values[:] = rng.uniform(-10.0, 10.0)
+    b, masks = masked(rng, values, rate)
+    outs = []
+    for _ in range(2):
+        trace: list = []
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # max_iters reached
+            outs.append(apg_complete(b, masks, ApgConfig(), trace).values)
+        assert np.all(np.isfinite(outs[-1]))
+        by_mu: dict = {}
+        for mu, f in trace:
+            by_mu.setdefault(mu, []).append(f)
+        for fs in by_mu.values():
+            assert np.all(np.diff(fs) <= 0.0)
+    assert np.array_equal(outs[0], outs[1])
 
 
 def test_objective_monotone_within_stage():
