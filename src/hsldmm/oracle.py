@@ -3,8 +3,9 @@
 Everything here is written independently of the production modules it
 cross-checks: naive kNN and weights, a dense shift-sum, a dense direct
 solve, and central-difference gradients. Deliberately slow, size-capped,
-and single-threaded; shipped in the library so installations can verify
-themselves via the ``selfcheck`` CLI subcommand.
+and single-threaded (the one check of threaded band solves aside); shipped
+in the library so installations can verify themselves via the
+``selfcheck`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -266,6 +267,31 @@ def _check_svt() -> bool:
                 and np.allclose(shrunk, [1.0, 0.0], atol=1e-12))
 
 
+def _check_band_threads() -> bool:
+    from .datacube import make_mask
+    from .graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
+    from .patch import PatchGeometry, extract_patches
+    from .solver import SolverConfig, _band_graph, _gmres, _in_order, assemble_band_system
+
+    # one outer iteration's band solves on one and on two threads; bitwise
+    # equality needs the installed BLAS to answer concurrent callers as it
+    # answers one
+    cube = synth_cube(SyntheticSpec(16, 16, 6, 2, smoothness=1.0, seed=4))
+    geom = PatchGeometry(2, 2, 16, 16)
+    patches = extract_patches(cube, geom)
+    table = knn_exact(patches, 10)
+    graph = _band_graph(assemble_wtilde(build_bar_w(patches, table, local_scale(table, 5)), geom))
+    masks = make_mask(cube.dims, 0.2, 5)
+    cfg = SolverConfig(k=10, r_sigma=5)
+
+    def solve(t):
+        system = assemble_band_system(graph, masks.band(t), cube.band(t), 50.0, 0.2, band=t)
+        return _gmres(system, np.zeros(256), cfg)[0]
+
+    serial, threaded = (list(_in_order(solve, cube.B, workers)) for workers in (1, 2))
+    return all(np.array_equal(x, y) for x, y in zip(serial, threaded))
+
+
 def selfcheck(verbose: bool = True) -> bool:
     """Run the oracle battery; prints one PASS/FAIL line per check."""
     checks = [
@@ -275,6 +301,7 @@ def selfcheck(verbose: bool = True) -> bool:
         ("energy_stationarity", _check_fd_stationarity),
         ("hsc_roundtrip", _check_roundtrip),
         ("svt_closed_form", _check_svt),
+        ("band_threads", _check_band_threads),
     ]
     ok = True
     for name, fn in checks:

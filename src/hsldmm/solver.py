@@ -3,9 +3,13 @@ alternates graph construction with band-by-band solves."""
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +29,24 @@ __all__ = [
     "wnll_energy",
     "ldmm_reconstruct",
 ]
+
+
+# entries of the graph per chunk of the band fill's neighbour gather
+_GATHER_CHUNK = 1 << 16
+
+# The bands of an outer iteration are solved on threads when the graph has
+# at least _PARALLEL_NNZ stored entries and at most _PARALLEL_MAX_PIXELS rows.
+# Below the nnz cut GMRES is bound by its Python-level loop, which holds the
+# GIL. Measured on 2 vCPU (8-16 bands, 1x1 and 2x2 patches, OpenBLAS on 2
+# threads), one iteration's bands took, on two threads against one, 1.3-1.4x
+# as long at nnz 20-46K, 1.0-1.1x at 63-82K, 0.75-0.93x at 104-128K and
+# 0.65-0.86x from 150K to 665K (one of two medians at 152K read 1.10x).
+# Above the pixel cut numpy's OpenBLAS runs the dot products behind GMRES's
+# norms (longer than 10000 entries) on its own thread pool, which then
+# contends with the band threads: at 10816 and 12544 pixels the bands took
+# 2x as long on two threads.
+_PARALLEL_NNZ = 1 << 17
+_PARALLEL_MAX_PIXELS = 10_000
 
 
 class NumericalError(RuntimeError):
@@ -111,8 +133,49 @@ class RunLog:
         return out
 
 
+@dataclass(frozen=True)
+class _BandGraph:
+    """The part of every band operator that depends only on the graph:
+    canonical CSR with a diagonal slot in every row (an explicit zero where
+    the graph stores none), the diagonal positions, the row sums and the
+    self weights."""
+
+    W: sp.csr_matrix
+    row_lengths: np.ndarray
+    diag_pos: np.ndarray
+    deg: np.ndarray
+    w_self: np.ndarray
+
+
+def _band_graph(wtilde: sp.spmatrix) -> _BandGraph:
+    """Graph-only state of the band operators, built once per graph."""
+    W = wtilde.tocsr()
+    N = W.shape[0]
+    if W.shape != (N, N):
+        raise ValueError(f"graph must be square, got {W.shape}")
+    if not W.has_canonical_format:
+        W = W.copy()
+        W.sum_duplicates()
+    deg = np.asarray(W.sum(axis=1)).reshape(-1)
+    rows = np.repeat(np.arange(N), np.diff(W.indptr))
+    diag_pos = np.flatnonzero(rows == W.indices)
+    if diag_pos.size < N:
+        # give every row a diagonal slot: an explicit zero where W stores none
+        missing = np.setdiff1d(np.arange(N), rows[diag_pos])
+        W = sp.csr_matrix(
+            (
+                np.concatenate([W.data, np.zeros(missing.size)]),
+                (np.concatenate([rows, missing]), np.concatenate([W.indices, missing])),
+            ),
+            shape=(N, N),
+        )
+        rows = np.repeat(np.arange(N), np.diff(W.indptr))
+        diag_pos = np.flatnonzero(rows == W.indices)
+    return _BandGraph(W, np.diff(W.indptr), diag_pos, deg, W.data[diag_pos])
+
+
 def assemble_band_system(
-    wtilde: sp.spmatrix,
+    wtilde: sp.spmatrix | _BandGraph,
     mask_t: np.ndarray,
     b_t: np.ndarray,
     lam: float,
@@ -129,44 +192,38 @@ def assemble_band_system(
     with mu = 1/rate - 1. Sampled-anchored difference terms are boosted by
     the inverse sampling rate, which is what lets sparse samples steer the
     interpolation; the matrix is non-symmetric because the boost follows the
-    sample indicator.
+    sample indicator. ``wtilde`` may also be the graph's ``_band_graph``
+    state, which ``ldmm_reconstruct`` builds once for all bands.
     """
-    W = wtilde.tocsr()
+    graph = wtilde if isinstance(wtilde, _BandGraph) else _band_graph(wtilde)
+    W = graph.W
     N = W.shape[0]
     chi = np.asarray(mask_t, dtype=np.float64).reshape(-1)
     bvec = np.asarray(b_t, dtype=np.float64).reshape(-1)
-    if W.shape != (N, N) or chi.shape[0] != N or bvec.shape[0] != N:
+    if chi.shape[0] != N or bvec.shape[0] != N:
         raise ValueError("graph, mask, and band data sizes do not agree")
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"sampling rate must be in (0, 1], got {rate}")
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
-    if not W.has_canonical_format:
-        W = W.copy()
-        W.sum_duplicates()
     mu = 1.0 / rate - 1.0
-    deg = np.asarray(W.sum(axis=1)).reshape(-1)
+    # the explicit zeros of the diagonal slots add exact zeros to this sum
     deg_omega = W @ chi
-    rows = np.repeat(np.arange(N), np.diff(W.indptr))
-    diag_pos = np.flatnonzero(rows == W.indices)
-    if diag_pos.size < N:
-        # give every row a diagonal slot: an explicit zero where W stores none
-        missing = np.setdiff1d(np.arange(N), rows[diag_pos])
-        W = sp.csr_matrix(
-            (
-                np.concatenate([W.data, np.zeros(missing.size)]),
-                (np.concatenate([rows, missing]), np.concatenate([W.indices, missing])),
-            ),
-            shape=(N, N),
-        )
-        rows = np.repeat(np.arange(N), np.diff(W.indptr))
-        diag_pos = np.flatnonzero(rows == W.indices)
-    w_self = W.data[diag_pos]
     mu_chi = mu * chi
-    data = -(2.0 + np.take(mu_chi, rows) + np.take(mu_chi, W.indices)) * W.data
+    # data = -(2 + mu chi_x + mu chi_y) w(x, y); the gather of mu chi_y goes
+    # in chunks so that data is the only temporary of the size of the graph
+    data = np.repeat(2.0 + mu_chi, graph.row_lengths)
+    for lo in range(0, data.size, _GATHER_CHUNK):
+        part = data[lo : lo + _GATHER_CHUNK]
+        part += mu_chi[W.indices[lo : lo + _GATHER_CHUNK]]
+        part *= W.data[lo : lo + _GATHER_CHUNK]
+    np.negative(data, out=data)
     # same float op order as (2 + mu chi)(D - W) + mu (D_omega - W chi) + lam chi
     # on the diagonal, so rate 1 gives exactly 2 (D - W) + lam I
-    data[diag_pos] = (2.0 + mu_chi) * (deg - w_self) + mu * (deg_omega - w_self * chi) + lam * chi
+    w_self = graph.w_self
+    data[graph.diag_pos] = (
+        (2.0 + mu_chi) * (graph.deg - w_self) + mu * (deg_omega - w_self * chi) + lam * chi
+    )
     A = sp.csr_matrix((data, W.indices, W.indptr), shape=(N, N))
     rhs = lam * chi * bvec
     return BandSystem(A=A, rhs=rhs, band=band, mu=mu, lam=lam)
@@ -325,6 +382,30 @@ def wnll_energy(
     return total + lam * float(misfit @ misfit)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_order(fn, count: int, workers: int):
+    """Yield fn(0), ..., fn(count - 1) in that order, computed on
+    ``workers`` threads when there are more than one.
+
+    Each call runs in its own copy of the caller's context, because
+    ``np.errstate`` is a context variable and new threads start without it.
+    An exception is raised when its call's turn comes; closing the generator
+    cancels the calls not yet started and waits for the running ones.
+    """
+    if workers == 1:
+        yield from map(fn, range(count))
+        return
+    contexts = [contextvars.copy_context() for _ in range(count)]
+    with ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(lambda ctx, i: ctx.run(fn, i), contexts, range(count))
+
+
 def ldmm_reconstruct(
     b: DataCube,
     masks: MaskSet,
@@ -340,7 +421,10 @@ def ldmm_reconstruct(
     kNN similarity graph on the spatial grid, shift-sums it, and then solves
     the per-band systems by warm-started GMRES. All bands in an iteration
     share the same graph; that sharing is what keeps the cost flat in the
-    number of bands. ``ref`` adds per-iteration PSNR to ``log``.
+    number of bands, and it lets the bands of large graphs be solved on
+    threads. Results, log records, warnings and errors are taken in band
+    order, so the output does not depend on the thread count. ``ref`` adds
+    per-iteration PSNR to ``log``.
     """
     if b.dims != masks.dims:
         raise ValueError(f"cube dims {b.dims} do not match mask dims {masks.dims}")
@@ -366,30 +450,39 @@ def ldmm_reconstruct(
         mean_degree = float(wtilde.sum()) / n_pix
         lam = cfg.lambda_rel * mean_degree
         graph_secs = time.perf_counter() - t0
-        unconverged: dict[int, float] = {}
-        for t in range(b.B):
+        del patches, table, sigma, bar_w
+        graph = _band_graph(wtilde)
+        workers = 1
+        if wtilde.nnz >= _PARALLEL_NNZ and n_pix <= _PARALLEL_MAX_PIXELS:
+            workers = min(b.B, _usable_cpus())
+
+        def solve(t):
             system = assemble_band_system(
-                wtilde, masks.band(t), b.band(t), lam, float(rates[t]), band=t
+                graph, masks.band(t), b.band(t), lam, float(rates[t]), band=t
             )
             try:
-                x, iters, resid, converged = _gmres(system, u[t].reshape(-1), cfg)
+                return _gmres(system, u[t].reshape(-1), cfg)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
-            if not np.all(np.isfinite(x)):
-                raise NumericalError(f"non-finite band solution at iteration {it}, band {t}")
-            if not converged:
-                unconverged[t] = resid
-            if log is not None:
-                log.bands.append(
-                    {
-                        "iteration": it,
-                        "band": t,
-                        "gmres_iters": iters,
-                        "residual": resid,
-                        "converged": converged,
-                    }
-                )
-            u[t] = x.reshape(b.m, b.n)
+
+        unconverged: dict[int, float] = {}
+        with closing(_in_order(solve, b.B, workers)) as results:
+            for t, (x, iters, resid, converged) in enumerate(results):
+                if not np.all(np.isfinite(x)):
+                    raise NumericalError(f"non-finite band solution at iteration {it}, band {t}")
+                if not converged:
+                    unconverged[t] = resid
+                if log is not None:
+                    log.bands.append(
+                        {
+                            "iteration": it,
+                            "band": t,
+                            "gmres_iters": iters,
+                            "residual": resid,
+                            "converged": converged,
+                        }
+                    )
+                u[t] = x.reshape(b.m, b.n)
         if unconverged:
             warnings.warn(
                 f"iteration {it}: gmres stopped short of tolerance on bands "

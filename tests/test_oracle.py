@@ -150,4 +150,4 @@ def test_fd_gradient_validation():
 def test_selfcheck_passes(capsys):
     assert selfcheck(verbose=True)
     out = capsys.readouterr().out
-    assert out.count("PASS") == 6 and "FAIL" not in out
+    assert out.count("PASS") == 7 and "FAIL" not in out

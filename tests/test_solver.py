@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -166,16 +168,21 @@ def test_assemble_matches_sparse_product_form():
     graphs.append(sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])))
     for wt in graphs:
         n = wt.shape[0]
+        # the graph-only state the outer loop builds once and shares across bands
+        hoisted = solver_mod._band_graph(wt)
         for rate in (1.0, 0.5, 0.2, 0.05):
             mask = rng.random(n) < max(rate, 0.1)
             lam = float(rng.choice([0.0, 0.7, 30.0]))
-            got = assemble_band_system(wt, mask, rng.standard_normal(n), lam, rate).A
-            assert got.has_canonical_format
-            got, want = got.toarray(), diags_assembly(wt, mask, lam, rate).toarray()
-            if rate == 1.0:
-                assert np.array_equal(got, want)
-            else:
-                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+            bvec = rng.standard_normal(n)
+            want = diags_assembly(wt, mask, lam, rate).toarray()
+            for graph in (wt, hoisted):
+                got = assemble_band_system(graph, mask, bvec, lam, rate).A
+                assert got.has_canonical_format
+                got = got.toarray()
+                if rate == 1.0:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 def test_assemble_validation():
@@ -416,11 +423,12 @@ def test_ldmm_band_results_independent_of_band_order():
 
 
 def test_ldmm_builds_one_graph_per_iteration(monkeypatch):
-    calls = {"knn": 0, "bar": 0, "wtilde": 0}
-    real_knn, real_bar, real_wt = (
+    calls = {"knn": 0, "bar": 0, "wtilde": 0, "band_graph": 0}
+    real_knn, real_bar, real_wt, real_band_graph = (
         solver_mod.knn_exact,
         solver_mod.build_bar_w,
         solver_mod.assemble_wtilde,
+        solver_mod._band_graph,
     )
     monkeypatch.setattr(solver_mod, "knn_exact",
                         lambda *a, **k: (calls.__setitem__("knn", calls["knn"] + 1), real_knn(*a, **k))[1])
@@ -428,6 +436,10 @@ def test_ldmm_builds_one_graph_per_iteration(monkeypatch):
                         lambda *a, **k: (calls.__setitem__("bar", calls["bar"] + 1), real_bar(*a, **k))[1])
     monkeypatch.setattr(solver_mod, "assemble_wtilde",
                         lambda *a, **k: (calls.__setitem__("wtilde", calls["wtilde"] + 1), real_wt(*a, **k))[1])
+    # the graph-only operator state is built once per iteration, not once per band
+    monkeypatch.setattr(solver_mod, "_band_graph",
+                        lambda *a, **k: (calls.__setitem__("band_graph", calls["band_graph"] + 1),
+                                         real_band_graph(*a, **k))[1])
 
     counts = {}
     for B in (2, 5):
@@ -439,7 +451,7 @@ def test_ldmm_builds_one_graph_per_iteration(monkeypatch):
         cfg = SolverConfig(k=8, r_sigma=4, outer_iters=2)
         ldmm_reconstruct(b, masks, cfg, b)
         counts[B] = dict(calls)
-    assert counts[2] == counts[5] == {"knn": 2, "bar": 2, "wtilde": 2}
+    assert counts[2] == counts[5] == {"knn": 2, "bar": 2, "wtilde": 2, "band_graph": 2}
 
 
 def test_ldmm_logs_bands_and_psnr():
@@ -501,6 +513,84 @@ def test_ldmm_nan_iterate_aborts(monkeypatch):
     b = apply_mask(cube, masks)
     with pytest.raises(NumericalError, match="band"):
         ldmm_reconstruct(b, masks, SolverConfig(k=6, r_sigma=3, outer_iters=1), b)
+
+
+def reconstruct_small(monkeypatch, threaded, cfg, gmres=None, log=None):
+    """One reconstruction of an 8x8x5 cube, its bands solved on the calling
+    thread or on three threads; returns the output, the log, the
+    RuntimeWarning texts and the ids of the threads that ran GMRES."""
+    monkeypatch.setattr(solver_mod, "_PARALLEL_NNZ", 0 if threaded else 1 << 62)
+    monkeypatch.setattr(solver_mod, "_usable_cpus", lambda: 3)
+    real = gmres or _gmres
+    threads = set()
+
+    def traced_gmres(system, x0, cfg):
+        threads.add(threading.get_ident())
+        return real(system, x0, cfg)
+
+    monkeypatch.setattr(solver_mod, "_gmres", traced_gmres)
+    cube = synth_cube(SyntheticSpec(8, 8, 5, 2, smoothness=1.5, seed=31))
+    masks = make_mask(cube.dims, 0.3, 32)
+    b = apply_mask(cube, masks)
+    log = RunLog() if log is None else log
+    # switch threads often, so that a read of a band before its turn shows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = ldmm_reconstruct(b, masks, cfg, b, log=log)
+    finally:
+        sys.setswitchinterval(interval)
+    msgs = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return out, log, msgs, threads
+
+
+@pytest.mark.parametrize("budget", [500, 1])
+def test_ldmm_threaded_bands_match_serial(monkeypatch, budget):
+    cfg = SolverConfig(k=8, r_sigma=4, outer_iters=2, gmres_max_iters=budget)
+    out, log, msgs, threads = reconstruct_small(monkeypatch, False, cfg)
+    out_t, log_t, msgs_t, threads_t = reconstruct_small(monkeypatch, True, cfg)
+    assert threads == {threading.get_ident()}
+    assert threading.get_ident() not in threads_t
+    assert np.array_equal(out.values, out_t.values)
+    assert log.bands == log_t.bands
+    assert [r["band"] for r in log_t.bands] == list(range(5)) * 2
+    assert msgs == msgs_t
+    assert bool(msgs) == (budget == 1)
+
+
+def test_ldmm_threaded_bands_raise_the_first_error_in_band_order(monkeypatch):
+    def failing_gmres(system, x0, cfg):
+        if system.band >= 3:
+            raise NumericalError(f"zero diagonal entry at row 0 of band {system.band}")
+        return _gmres(system, x0, cfg)
+
+    cfg = SolverConfig(k=8, r_sigma=4, outer_iters=1)
+    for threaded in (False, True):
+        log = RunLog()
+        before = threading.active_count()
+        with pytest.raises(NumericalError) as exc:
+            reconstruct_small(monkeypatch, threaded, cfg, failing_gmres, log)
+        # the pool is shut down before the error leaves ldmm_reconstruct
+        assert threading.active_count() == before
+        assert str(exc.value) == "iteration 1: zero diagonal entry at row 0 of band 3"
+        assert [r["band"] for r in log.bands] == [0, 1, 2]
+
+
+def test_ldmm_threaded_bands_keep_the_callers_errstate(monkeypatch):
+    def dividing_gmres(system, x0, cfg):
+        if system.band == 3:
+            np.float64(1.0) / np.float64(0.0)
+        return _gmres(system, x0, cfg)
+
+    cfg = SolverConfig(k=8, r_sigma=4, outer_iters=1)
+    found = []
+    for threaded in (False, True):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError) as exc:
+            reconstruct_small(monkeypatch, threaded, cfg, dividing_gmres)
+        found.append(str(exc.value))
+    assert found[0] == found[1]
 
 
 def test_ldmm_validation():
