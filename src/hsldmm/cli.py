@@ -1,13 +1,14 @@
 """Command-line surface: synthesize, corrupt, reconstruct, evaluate, export.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical failure.
-Every command is deterministic given its flags; seeds land in the run
-manifest.
+Every command is deterministic given its flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -35,19 +36,7 @@ USAGE_ERROR = 1
 IO_ERROR = 2
 NUMERICAL_ERROR = 3
 
-CONFIG_KEYS = (
-    "s1",
-    "s2",
-    "k",
-    "r_sigma",
-    "lambda_rel",
-    "outer_iters",
-    "gmres_tol",
-    "gmres_restart",
-    "gmres_max_iters",
-    "psnr_formula",
-    "seed",
-)
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig))
 
 
 def format_manifest(entries: dict) -> str:
@@ -181,8 +170,7 @@ def cmd_reconstruct(args) -> int:
         "init": args.init,
         "timestamp_start": stamp_start,
     }
-    for key in CONFIG_KEYS:
-        manifest[key] = getattr(cfg, key)
+    manifest.update(dataclasses.asdict(cfg))
 
     manifest_path = args.manifest or str(Path(args.output).with_suffix(".manifest"))
     log = RunLog()
@@ -198,7 +186,7 @@ def cmd_reconstruct(args) -> int:
                 raise ValueError(f"init cube dims {u0.dims} do not match data dims {data.dims}")
         manifest["secs_init"] = time.perf_counter() - t0
         if ref is not None and args.init != "zero":
-            met0 = psnr(u0, ref, cfg.psnr_formula)
+            met0 = psnr(u0, ref)
             manifest["init_psnr_paper"] = met0.psnr_paper
             manifest["init_psnr_standard"] = met0.psnr_standard
         t0 = time.perf_counter()
@@ -217,7 +205,7 @@ def cmd_reconstruct(args) -> int:
     manifest.update(log.summary())
     Path(manifest_path).write_text(format_manifest(manifest))
     if ref is not None:
-        met = psnr(result, ref, cfg.psnr_formula)
+        met = psnr(result, ref)
         print(f"psnr_paper={_fmt_db(met.psnr_paper)} psnr_standard={_fmt_db(met.psnr_standard)}")
     print(f"output={args.output} manifest={manifest_path}")
     return 0
@@ -226,7 +214,7 @@ def cmd_reconstruct(args) -> int:
 def cmd_eval(args) -> int:
     candidate = read_cube(args.candidate)
     reference = read_cube(args.reference)
-    met = psnr(candidate, reference, args.psnr_formula or "paper")
+    met = psnr(candidate, reference)
     print(f"mse={met.mse!r}")
     print(f"psnr_paper={_fmt_db(met.psnr_paper)}")
     print(f"psnr_standard={_fmt_db(met.psnr_standard)}")
@@ -265,8 +253,8 @@ def _rate(text: str) -> float:
 
 def _nonneg_float(text: str) -> float:
     val = float(text)
-    if val < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    if not 0.0 <= val < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
     return val
 
 
@@ -309,14 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmres-tol", dest="gmres_tol", type=float, default=None)
     p.add_argument("--gmres-restart", dest="gmres_restart", type=_positive_int, default=None)
     p.add_argument("--gmres-maxiter", dest="gmres_max_iters", type=_positive_int, default=None)
-    p.add_argument("--psnr-formula", dest="psnr_formula", choices=("paper", "standard"), default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("eval", help="print MSE and both PSNR variants")
     p.add_argument("candidate")
     p.add_argument("reference")
-    p.add_argument("--psnr-formula", dest="psnr_formula", choices=("paper", "standard"), default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export-band", help="write one band as PGM or CSV")

@@ -178,7 +178,7 @@ def local_scale(table: NeighborTable, r_sigma: int) -> np.ndarray:
     return np.where(sigma > 0.0, sigma, np.where(nearest < np.inf, np.sqrt(nearest), 1.0))
 
 
-def build_bar_w(patches: np.ndarray, table: NeighborTable, sigma: np.ndarray) -> sp.csr_matrix:
+def build_bar_w(table: NeighborTable, sigma: np.ndarray) -> sp.csr_matrix:
     """Gaussian similarity over the kNN pairs: exp(-d2(x,y) / (sigma_x * sigma_y)).
 
     Exactly k entries per row, self weight 1, not symmetrized (the kNN

@@ -37,12 +37,12 @@ class ApgConfig:
     def __post_init__(self):
         if not 0.0 < self.mu_decay < 1.0:
             raise ValueError(f"mu_decay must be in (0, 1), got {self.mu_decay}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.n_stages < 1 or self.max_iters < 1:
             raise ValueError("n_stages and max_iters must be at least 1")
-        if self.mu_target is not None and self.mu_target < 0:
-            raise ValueError(f"mu_target must be non-negative, got {self.mu_target}")
+        if self.mu_target is not None and not 0.0 <= self.mu_target < math.inf:
+            raise ValueError(f"mu_target must be finite and non-negative, got {self.mu_target}")
 
 
 def _thin_svd(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,9 +67,15 @@ def svt(M: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def completion_objective(X: np.ndarray, obs: np.ndarray, b: np.ndarray, mu: float) -> float:
-    """0.5 * ||X - b||^2 over observed entries plus mu * nuclear norm."""
+    """0.5 * ||X - b||^2 over observed entries plus mu * nuclear norm.
+
+    The singular values come from a full SVD: the Gram route would overstate
+    the nuclear norm of a rank-deficient X, such as a zero-filled start.
+    """
     resid = np.where(obs, X - b, 0.0)
-    return 0.5 * float((resid * resid).sum()) + mu * float(_thin_svd(X)[0].sum())
+    return 0.5 * float((resid * resid).sum()) + mu * float(
+        np.linalg.svd(X, compute_uv=False).sum()
+    )
 
 
 def _apg_stage(
@@ -134,8 +140,8 @@ def apg_complete(
     mu_target = cfg.mu_target
     if mu_target is None:
         mu_target = 0.01 * float(_thin_svd(data)[0][0])
-    # The Gram route overstates the nuclear norm of rank-deficient matrices, so
-    # it gives only the start's (data fits itself); the prox gives later ones.
+    # the start's nuclear norm is its objective at mu = 1 (data fits itself);
+    # the prox gives later ones
     X, nuc = data, completion_objective(data, obs, data, 1.0)
     idx = np.flatnonzero(obs)
     b_obs = data.take(idx)

@@ -190,7 +190,7 @@ def _check_graph() -> bool:
     pts = rng.random((16, 6))
     table = knn_exact(pts, 5)
     sigma = local_scale(table, 3)
-    got = np.asarray(build_bar_w(pts, table, sigma).todense())
+    got = np.asarray(build_bar_w(table, sigma).todense())
     want = naive_bar_w(pts, 5, 3)
     if not np.allclose(got, want, rtol=1e-13, atol=0.0):
         return False
@@ -211,7 +211,7 @@ def _check_solver() -> bool:
     geom = PatchGeometry(2, 2, 4, 4)
     patches = extract_patches(cube, geom)
     table = knn_exact(patches, 6)
-    wt = assemble_wtilde(build_bar_w(patches, table, local_scale(table, 3)), geom)
+    wt = assemble_wtilde(build_bar_w(table, local_scale(table, 3)), geom)
     mask = np.zeros((4, 4), dtype=bool)
     mask.reshape(-1)[[0, 5, 9, 14]] = True
     system = assemble_band_system(wt, mask, cube.band(0), 5.0, 0.25)
@@ -230,7 +230,7 @@ def _check_fd_stationarity() -> bool:
     geom = PatchGeometry(2, 2, 4, 4)
     patches = extract_patches(cube, geom)
     table = knn_exact(patches, 16)  # full graph: symmetric weights
-    wt = assemble_wtilde(build_bar_w(patches, table, local_scale(table, 8)), geom)
+    wt = assemble_wtilde(build_bar_w(table, local_scale(table, 8)), geom)
     mask = np.zeros((4, 4), dtype=bool)
     mask.reshape(-1)[[1, 6, 11, 12]] = True
     lam, rate = 3.0, 0.25
@@ -280,7 +280,7 @@ def _check_band_threads() -> bool:
     geom = PatchGeometry(2, 2, 16, 16)
     patches = extract_patches(cube, geom)
     table = knn_exact(patches, 10)
-    graph = _band_graph(assemble_wtilde(build_bar_w(patches, table, local_scale(table, 5)), geom))
+    graph = _band_graph(assemble_wtilde(build_bar_w(table, local_scale(table, 5)), geom))
     masks = make_mask(cube.dims, 0.2, 5)
     cfg = SolverConfig(k=10, r_sigma=5)
 

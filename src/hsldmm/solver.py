@@ -74,8 +74,6 @@ class SolverConfig:
     gmres_tol: float = 1e-6
     gmres_restart: int = 30
     gmres_max_iters: int = 500
-    psnr_formula: str = "paper"
-    seed: int = 0
 
     def __post_init__(self):
         if self.s1 < 1 or self.s2 < 1:
@@ -84,16 +82,14 @@ class SolverConfig:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if not 2 <= self.r_sigma <= self.k:
             raise ValueError(f"need 2 <= r_sigma <= k, got r_sigma={self.r_sigma}, k={self.k}")
-        if self.lambda_rel < 0:
-            raise ValueError(f"lambda_rel must be non-negative, got {self.lambda_rel}")
+        if not 0.0 <= self.lambda_rel < math.inf:
+            raise ValueError(f"lambda_rel must be finite and non-negative, got {self.lambda_rel}")
         if self.outer_iters < 1:
             raise ValueError(f"outer_iters must be at least 1, got {self.outer_iters}")
         if not 0.0 < self.gmres_tol < 1.0:
             raise ValueError(f"gmres_tol must be in (0, 1), got {self.gmres_tol}")
         if self.gmres_restart < 1 or self.gmres_max_iters < 1:
             raise ValueError("gmres_restart and gmres_max_iters must be at least 1")
-        if self.psnr_formula not in ("paper", "standard"):
-            raise ValueError(f"psnr_formula must be 'paper' or 'standard', got {self.psnr_formula!r}")
 
 
 @dataclass(frozen=True)
@@ -136,31 +132,27 @@ class RunLog:
 @dataclass(frozen=True)
 class _BandGraph:
     """The part of every band operator that depends only on the graph:
-    canonical CSR with a diagonal slot in every row (an explicit zero where
-    the graph stores none), the diagonal positions, the row sums and the
-    self weights."""
+    canonical CSR with a diagonal slot in every row, holding an explicit
+    zero (self weights do not enter the operator), the diagonal positions,
+    the row lengths and the row sums of the off-diagonal weights."""
 
     W: sp.csr_matrix
     row_lengths: np.ndarray
     diag_pos: np.ndarray
     deg: np.ndarray
-    w_self: np.ndarray
 
 
 def _band_graph(wtilde: sp.spmatrix) -> _BandGraph:
     """Graph-only state of the band operators, built once per graph."""
-    W = wtilde.tocsr()
+    W = wtilde.tocsr().copy()  # its diagonal slots are zeroed below
     N = W.shape[0]
     if W.shape != (N, N):
         raise ValueError(f"graph must be square, got {W.shape}")
-    if not W.has_canonical_format:
-        W = W.copy()
-        W.sum_duplicates()
-    deg = np.asarray(W.sum(axis=1)).reshape(-1)
+    W.sum_duplicates()
     rows = np.repeat(np.arange(N), np.diff(W.indptr))
     diag_pos = np.flatnonzero(rows == W.indices)
     if diag_pos.size < N:
-        # give every row a diagonal slot: an explicit zero where W stores none
+        # give every row a diagonal slot
         missing = np.setdiff1d(np.arange(N), rows[diag_pos])
         W = sp.csr_matrix(
             (
@@ -171,7 +163,11 @@ def _band_graph(wtilde: sp.spmatrix) -> _BandGraph:
         )
         rows = np.repeat(np.arange(N), np.diff(W.indptr))
         diag_pos = np.flatnonzero(rows == W.indices)
-    return _BandGraph(W, np.diff(W.indptr), diag_pos, deg, W.data[diag_pos])
+    # The degree is summed without the self weight rather than as the full
+    # row sum minus it: when every other weight of a row is below eps times
+    # the self weight, that difference rounds to exactly 0.
+    W.data[diag_pos] = 0.0
+    return _BandGraph(W, np.diff(W.indptr), diag_pos, W @ np.ones(N))
 
 
 def assemble_band_system(
@@ -207,7 +203,6 @@ def assemble_band_system(
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     mu = 1.0 / rate - 1.0
-    # the explicit zeros of the diagonal slots add exact zeros to this sum
     deg_omega = W @ chi
     mu_chi = mu * chi
     # data = -(2 + mu chi_x + mu chi_y) w(x, y); the gather of mu chi_y goes
@@ -219,11 +214,9 @@ def assemble_band_system(
         part *= W.data[lo : lo + _GATHER_CHUNK]
     np.negative(data, out=data)
     # same float op order as (2 + mu chi)(D - W) + mu (D_omega - W chi) + lam chi
-    # on the diagonal, so rate 1 gives exactly 2 (D - W) + lam I
-    w_self = graph.w_self
-    data[graph.diag_pos] = (
-        (2.0 + mu_chi) * (graph.deg - w_self) + mu * (deg_omega - w_self * chi) + lam * chi
-    )
+    # on the diagonal, with W the graph without self weights, so rate 1 gives
+    # exactly 2 (D - W) + lam I
+    data[graph.diag_pos] = (2.0 + mu_chi) * graph.deg + mu * deg_omega + lam * chi
     A = sp.csr_matrix((data, W.indices, W.indptr), shape=(N, N))
     rhs = lam * chi * bvec
     return BandSystem(A=A, rhs=rhs, band=band, mu=mu, lam=lam)
@@ -445,15 +438,17 @@ def ldmm_reconstruct(
         patches = extract_patches(DataCube(u), geom)
         table = knn_exact(patches, cfg.k)
         sigma = local_scale(table, cfg.r_sigma)
-        bar_w = build_bar_w(patches, table, sigma)
+        bar_w = build_bar_w(table, sigma)
         wtilde = assemble_wtilde(bar_w, geom)
         mean_degree = float(wtilde.sum()) / n_pix
         lam = cfg.lambda_rel * mean_degree
         graph_secs = time.perf_counter() - t0
         del patches, table, sigma, bar_w
         graph = _band_graph(wtilde)
+        nnz = wtilde.nnz
+        del wtilde  # the band graph holds its own copy of the weights
         workers = 1
-        if wtilde.nnz >= _PARALLEL_NNZ and n_pix <= _PARALLEL_MAX_PIXELS:
+        if nnz >= _PARALLEL_NNZ and n_pix <= _PARALLEL_MAX_PIXELS:
             workers = min(b.B, _usable_cpus())
 
         def solve(t):
@@ -491,10 +486,10 @@ def ldmm_reconstruct(
                 stacklevel=2,
             )
         rec: dict = {"iteration": it, "lambda": lam, "mean_degree": mean_degree,
-                     "nnz": wtilde.nnz, "graph_secs": graph_secs,
+                     "nnz": nnz, "graph_secs": graph_secs,
                      "secs": time.perf_counter() - t0}
         if ref is not None:
-            met = psnr(DataCube(u), ref, cfg.psnr_formula)
+            met = psnr(DataCube(u), ref)
             rec["psnr_paper"] = met.psnr_paper
             rec["psnr_standard"] = met.psnr_standard
         if log is not None:

@@ -66,7 +66,7 @@ def band_graph(cube, s, k, r_sigma):
     geom = PatchGeometry(s, s, cube.m, cube.n)
     patches = extract_patches(cube, geom)
     table = knn_exact(patches, k)
-    return geom, assemble_wtilde(build_bar_w(patches, table, local_scale(table, r_sigma)), geom)
+    return geom, assemble_wtilde(build_bar_w(table, local_scale(table, r_sigma)), geom)
 
 
 def test_c01_adjoint_suite():
@@ -96,7 +96,7 @@ def test_c02_graph_oracle():
                     patches = extract_patches(cube, geom)
                     r_sigma = max(2, k // 2 + 1)
                     table = knn_exact(patches, k)
-                    bar = build_bar_w(patches, table, local_scale(table, r_sigma))
+                    bar = build_bar_w(table, local_scale(table, r_sigma))
                     bar_dense = np.asarray(bar.todense())
                     want_bar = naive_bar_w(patches, k, r_sigma)
                     nz = want_bar > 0
@@ -275,8 +275,10 @@ def test_c09_mu_structure():
         full = make_mask(cube.dims, 1.0, 0)
         system = assemble_band_system(wt, full.band(0), cube.band(0), lam, 1.0)
         assert system.mu == 0.0
-        deg = np.asarray(wt.sum(axis=1)).reshape(-1)
-        want = 2.0 * (sp.diags(deg) - wt) + lam * sp.identity(36)
+        # self weights do not enter the operator; D sums the other weights
+        # sequentially in column order, as the solver does
+        off = (sp.triu(wt, 1) + sp.tril(wt, -1)).tocsr()
+        want = 2.0 * (sp.diags(off @ np.ones(36)) - off) + lam * sp.identity(36)
         assert np.array_equal(np.asarray(system.A.todense()), np.asarray(want.todense()))
 
         sparse = make_mask(cube.dims, 0.25, 6)

@@ -22,7 +22,7 @@ def test_manifest_roundtrip_lossless():
         "k": 20,
         "gmres_tol": 1e-06,
         "lambda_rel": 100.0,
-        "psnr_formula": "paper",
+        "init": "apg",
         "psnr_inf": math.inf,
         "secs": 0.12345678901234567,
     }
@@ -61,6 +61,14 @@ def test_synth_writes_valid_deterministic_file(tmp_path, capsys):
 def test_synth_rank_zero_is_usage_error(tmp_path, capsys):
     code, _, err = run(["synth", "--rank", "0", "-o", str(tmp_path / "x.hsc")], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_synth_non_finite_smoothness_is_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "x.hsc"
+    code, _, _ = run(["synth", "--smoothness", value, "-o", str(out)], capsys)
+    assert code == 1
+    assert not out.exists()
 
 
 # --- corrupt ------------------------------------------------------------------
@@ -175,6 +183,24 @@ def test_reconstruct_config_file_and_flag_precedence(tmp_path, capsys):
     assert manifest["outer_iters"] == 1  # config wins over default
 
 
+@pytest.mark.parametrize("flags, config", [
+    (["--seed", "1"], None),
+    (["--psnr-formula", "standard"], None),
+    ([], "seed=0\n"),
+    (["--lambda-rel", "nan"], None),
+    ([], "lambda_rel=nan\n"),
+])
+def test_reconstruct_bad_option_is_usage_error_and_writes_nothing(tmp_path, capsys, flags, config):
+    gt, obs, mask = corrupted(tmp_path, capsys)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        flags = flags + ["--config", str(tmp_path / "run.cfg")]
+    rec = tmp_path / "rec.hsc"
+    code, _, _ = run(["reconstruct", str(obs), str(mask), "-o", str(rec), *flags], capsys)
+    assert code == 1
+    assert not rec.exists() and not (tmp_path / "rec.manifest").exists()
+
+
 def test_reconstruct_manifest_counts_starved_gmres(tmp_path, capsys):
     gt, obs, mask = corrupted(tmp_path, capsys)
     rec = tmp_path / "rec.hsc"
@@ -224,6 +250,12 @@ def test_eval_identical_prints_inf(tmp_path, capsys):
     code, stdout, _ = run(["eval", str(gt), str(gt)], capsys)
     assert code == 0
     assert "psnr_paper=inf" in stdout
+
+
+def test_eval_has_no_formula_flag(tmp_path, capsys):
+    gt = make_gt(tmp_path, capsys)
+    code, _, _ = run(["eval", str(gt), str(gt), "--psnr-formula", "standard"], capsys)
+    assert code == 1
 
 
 def test_eval_closed_form_and_library_equality(tmp_path, capsys):

@@ -238,7 +238,7 @@ def test_local_scale_validation():
 def test_bar_w_self_weight_one():
     pts = cloud(30, 3, 7)
     table = knn_exact(pts, 5)
-    g = build_bar_w(pts, table, local_scale(table, 3))
+    g = build_bar_w(table, local_scale(table, 3))
     assert np.all(g.diagonal() == 1.0)
 
 
@@ -246,7 +246,7 @@ def test_bar_w_closed_form_exp_minus_one():
     pts = np.array([[0.0], [1.0]])
     table = knn_exact(pts, 2)
     sigma = local_scale(table, 2)  # both scales are 1
-    g = build_bar_w(pts, table, sigma)
+    g = build_bar_w(table, sigma)
     assert math.isclose(g[0, 1], math.exp(-1.0), rel_tol=1e-15)
     assert math.isclose(g[1, 0], math.exp(-1.0), rel_tol=1e-15)
 
@@ -256,7 +256,7 @@ def test_bar_w_entries_match_scalar_recompute():
     k, r_sigma = 9, 4
     table = knn_exact(pts, k)
     sigma = local_scale(table, r_sigma)
-    g = build_bar_w(pts, table, sigma).tocoo()
+    g = build_bar_w(table, sigma).tocoo()
     for r, c, w in zip(g.row, g.col, g.data):
         d2 = float(((pts[r] - pts[c]) ** 2).sum())
         want = math.exp(-d2 / (sigma[r] * sigma[c]))
@@ -266,7 +266,7 @@ def test_bar_w_entries_match_scalar_recompute():
 def test_bar_w_structure_invariants():
     pts = cloud(40, 5, 9)
     table = knn_exact(pts, 6)
-    g = build_bar_w(pts, table, local_scale(table, 3))
+    g = build_bar_w(table, local_scale(table, 3))
     counts = np.diff(g.indptr)
     assert np.all(counts == 6)
     assert np.all(g.data > 0.0) and np.all(g.data <= 1.0)
@@ -285,7 +285,7 @@ def grid_graph(m, n, B, s, seed, k):
     geom = PatchGeometry(s, s, m, n)
     patches = extract_patches(cube, geom)
     table = knn_exact(patches, k)
-    bar = build_bar_w(patches, table, local_scale(table, max(2, k // 2)))
+    bar = build_bar_w(table, local_scale(table, max(2, k // 2)))
     return geom, bar
 
 
@@ -327,7 +327,7 @@ def test_graph_vs_naive_pipeline_end_to_end():
     patches = extract_patches(cube, geom)
     k, r_sigma = 5, 3
     table = knn_exact(patches, k)
-    bar = build_bar_w(patches, table, local_scale(table, r_sigma))
+    bar = build_bar_w(table, local_scale(table, r_sigma))
     want = naive_bar_w(patches, k, r_sigma)
     got = np.asarray(bar.todense())
     mask = want > 0

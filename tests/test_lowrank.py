@@ -336,3 +336,16 @@ def test_objective_helper_matches_direct_formula():
     )
     got = completion_objective(X, obs, b, mu)
     assert np.isclose(got, want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("rows, cols, rank", [(4096, 32, 2), (1, 8, 1)])
+def test_objective_nuclear_norm_of_rank_deficient_matrix(rows, cols, rank):
+    # the zero-filled start is rank-deficient at rate 1 on a low-rank cube or
+    # with fewer pixels than bands; its singular values are known here
+    rng = np.random.default_rng(15)
+    U = np.linalg.qr(rng.standard_normal((rows, rank)))[0]
+    V = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
+    sig = np.array([3.0, 0.5][:rank])
+    X = (U * sig) @ V.T
+    got = completion_objective(X, np.ones(X.shape, bool), X, 1.0)
+    assert abs(got - sig.sum()) <= 1e-12 * sig.sum()

@@ -88,7 +88,7 @@ def test_dense_solve_on_assembled_band_system():
     geom = PatchGeometry(2, 2, 4, 4)
     patches = extract_patches(cube, geom)
     table = knn_exact(patches, 6)
-    wt = assemble_wtilde(build_bar_w(patches, table, local_scale(table, 3)), geom)
+    wt = assemble_wtilde(build_bar_w(table, local_scale(table, 3)), geom)
     mask = np.zeros((4, 4), bool)
     mask.reshape(-1)[[1, 7, 12]] = True
     system = assemble_band_system(wt, mask, cube.band(1), 2.0, 3 / 16)
@@ -128,7 +128,7 @@ def test_fd_gradient_matches_analytic_residual_on_energy():
     geom = PatchGeometry(2, 2, 3, 3)
     patches = extract_patches(cube, geom)
     table = knn_exact(patches, 9)
-    wt = assemble_wtilde(build_bar_w(patches, table, local_scale(table, 4)), geom)
+    wt = assemble_wtilde(build_bar_w(table, local_scale(table, 4)), geom)
     mask = np.zeros((3, 3), bool)
     mask.reshape(-1)[[0, 4]] = True
     lam, rate = 2.0, 2 / 9

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hsldmm.solver as solver_mod
 from hsldmm import (
@@ -41,17 +44,24 @@ def small_graph(m, n, B, s, k, seed):
     geom = PatchGeometry(s, s, m, n)
     patches = extract_patches(cube, geom)
     table = knn_exact(patches, k)
-    wt = assemble_wtilde(build_bar_w(patches, table, local_scale(table, max(2, k // 2))), geom)
+    wt = assemble_wtilde(build_bar_w(table, local_scale(table, max(2, k // 2))), geom)
     return cube, geom, wt
+
+
+def off_diagonal(wtilde):
+    """The graph without its self weights, which the band operator ignores."""
+    return (sp.triu(wtilde, 1) + sp.tril(wtilde, -1)).tocsr()
 
 
 def diags_assembly(wtilde, mask, lam, rate):
     """Reference band operator in sparse-product form:
-    (2 + mu chi)(D - W) + mu (D_omega - W chi) + lam chi."""
-    W = wtilde.tocsr()
+    (2 + mu chi)(D - W) + mu (D_omega - W chi) + lam chi, with W the graph
+    without self weights and D its row sums."""
+    W = off_diagonal(wtilde)
     chi = np.asarray(mask, dtype=np.float64).reshape(-1)
     mu = 1.0 / rate - 1.0
-    deg = np.asarray(W.sum(axis=1)).reshape(-1)
+    # a sequential sum in column order, as the solver takes it
+    deg = W @ np.ones(W.shape[0])
     lap = sp.diags(deg) - W
     return (
         sp.diags(2.0 + mu * chi) @ lap
@@ -83,8 +93,18 @@ def test_config_validation():
         SolverConfig(gmres_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(r_sigma=25, k=20)
-    with pytest.raises(ValueError):
-        SolverConfig(psnr_formula="both")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("config, name", [
+    (config, f.name)
+    for config in (SolverConfig, ApgConfig)
+    for f in dataclasses.fields(config)
+    if "float" in f.type
+])
+def test_config_rejects_non_finite_floats(config, name, value):
+    with pytest.raises(ValueError, match=name):
+        config(**{name: value})
 
 
 # --- assemble_band_system -----------------------------------------------
@@ -96,8 +116,8 @@ def test_assemble_full_rate_is_laplacian_plus_fidelity():
     lam = 3.0
     system = assemble_band_system(wt, mask, cube.band(0), lam, 1.0)
     assert system.mu == 0.0
-    deg = np.asarray(wt.sum(axis=1)).reshape(-1)
-    expected = 2.0 * (sp.diags(deg) - wt) + lam * sp.identity(16)
+    W = off_diagonal(wt)
+    expected = 2.0 * (sp.diags(W @ np.ones(16)) - W) + lam * sp.identity(16)
     assert np.array_equal(np.asarray(system.A.todense()), np.asarray(expected.todense()))
     assert np.array_equal(system.rhs, lam * cube.band(0).reshape(-1))
 
@@ -193,6 +213,35 @@ def test_assemble_validation():
         assemble_band_system(wt, np.ones((2, 2), bool), np.zeros((2, 2)), -1.0, 0.5)
     with pytest.raises(ValueError):
         assemble_band_system(wt, np.ones((3, 3), bool), np.zeros((2, 2)), 1.0, 0.5)
+
+
+def test_assemble_keeps_a_row_whose_other_weights_are_below_eps():
+    # row 8 is {8: 1.0, 5: 5.9e-201}: the full row sum minus the self weight
+    # rounds to 0, and an unsampled pixel there would get a zero diagonal
+    wt = sp.lil_matrix(sp.identity(9))
+    for x in range(8):
+        wt[x, (x + 1) % 8] = 0.5
+    wt[8, 5] = 5.9e-201
+    mask = np.zeros(9, bool)
+    mask[[0, 4]] = True
+    system = assemble_band_system(wt.tocsr(), mask, np.ones(9), 2.0, 0.25)
+    assert system.A[8, 8] == 2.0 * 5.9e-201
+    assert system.A[8, 5] == -2.0 * 5.9e-201
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ldmm_survives_a_hot_pixel(seed):
+    # one pixel far above the rest of the scene has neighbours whose weights
+    # are all below eps times its self weight
+    values = synth_cube(SyntheticSpec(16, 16, 8, 3, seed=seed)).values.copy()
+    values[:, 5, 7] = 50.0
+    masks = make_mask((16, 16, 8), 0.10, seed + 100)
+    b = apply_mask(DataCube(values), masks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for u0 in (apg_complete(b, masks, ApgConfig()), b):
+            out = ldmm_reconstruct(b, masks, SolverConfig(), u0)
+            assert np.all(np.isfinite(out.values))
 
 
 # --- solve_band -------------------------------------------------------------
@@ -591,6 +640,47 @@ def test_ldmm_threaded_bands_keep_the_callers_errstate(monkeypatch):
             reconstruct_small(monkeypatch, threaded, cfg, dividing_gmres)
         found.append(str(exc.value))
     assert found[0] == found[1]
+
+
+@settings(max_examples=100)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    s1=st.integers(1, 3),
+    s2=st.integers(1, 3),
+    B=st.integers(1, 3),
+    rate=st.sampled_from([0.3, 1.0]),
+    k=st.sampled_from([2, 4, None]),
+    kind=st.sampled_from(["constant", "random", "hot"]),
+    zero_init=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=1, n=1, s1=1, s2=1, B=1, rate=1.0, k=None, kind="random", zero_init=True, seed=0)
+@example(m=1, n=4, s1=1, s2=1, B=1, rate=0.3, k=2, kind="hot", zero_init=False, seed=0)
+def test_ldmm_degenerate_inputs(m, n, s1, s2, B, rate, k, kind, zero_init, seed):
+    # k=None stands for every pixel; r_sigma=2 makes a hot pixel's scale its
+    # nearest neighbour's distance, which drives its other weights below eps
+    s1, s2, k = min(s1, m), min(s2, n), k or max(2, m * n)
+    rng = np.random.default_rng(seed)
+    values = np.full((B, m, n), 0.7) if kind == "constant" else rng.random((B, m, n))
+    if kind == "hot":
+        values[:, rng.integers(m), rng.integers(n)] = 50.0
+    cube = DataCube(values)
+    masks = make_mask(cube.dims, rate, seed)
+    b = apply_mask(cube, masks)
+    cfg = SolverConfig(s1=s1, s2=s2, k=k, r_sigma=2)
+    u0 = b if zero_init else cube
+    if masks.counts().min() == 0 or k > m * n:
+        match = "no sampled pixels" if masks.counts().min() == 0 else "exceeds pixel count"
+        with pytest.raises(ValueError, match=match):
+            ldmm_reconstruct(b, masks, cfg, u0)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        out = ldmm_reconstruct(b, masks, cfg, u0)
+        again = ldmm_reconstruct(b, masks, cfg, u0)
+    assert np.all(np.isfinite(out.values))
+    assert np.array_equal(out.values, again.values)
 
 
 def test_ldmm_validation():
