@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,6 +17,16 @@ __all__ = [
     "apply_mask",
     "psnr",
 ]
+
+
+def _check_field_types(config) -> None:
+    """Raise ValueError naming the first field of a config dataclass whose value is
+    not of its annotated type (``int``, ``float`` or ``float | None``; bools are neither)."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        ok = isinstance(value, numbers.Integral if f.type == "int" else numbers.Real)
+        if isinstance(value, bool) or not (ok or value is None and "None" in f.type):
+            raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)

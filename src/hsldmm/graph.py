@@ -193,8 +193,8 @@ def build_bar_w(table: NeighborTable, sigma: np.ndarray) -> sp.csr_matrix:
     w = np.exp(-table.sq_dists / denom)
     # keep the k-per-row structure even if exp underflows
     np.maximum(w, np.finfo(np.float64).tiny, out=w)
-    rows = np.repeat(np.arange(N, dtype=np.int64), k)
-    g = sp.csr_matrix((w.reshape(-1), (rows, table.indices.reshape(-1))), shape=(N, N))
+    cols = table.indices.reshape(-1).copy()  # sorted in place below; the table is read-only
+    g = sp.csr_matrix((w.reshape(-1), cols, np.arange(0, N * k + 1, k)), shape=(N, N))
     g.sort_indices()
     return g
 
@@ -211,12 +211,9 @@ def assemble_wtilde(bar_w: sp.csr_matrix, geom: PatchGeometry) -> sp.csr_matrix:
     acc = None
     ones = np.ones(N)
     for i in range(1, geom.d_s + 1):
-        perm = shift_permutation(geom, 1 - i)
-        P = sp.csr_matrix((ones, (np.arange(N), perm)), shape=(N, N))
+        P = sp.csr_matrix((ones, shift_permutation(geom, 1 - i), np.arange(N + 1)), shape=(N, N))
         term = P @ bar_w @ P.T
         acc = term if acc is None else acc + term
-    acc = acc.tocsr()
-    acc.sum_duplicates()
-    acc.sort_indices()
+    acc.sum_duplicates()  # sorts the shifted products' indices; there is nothing to merge
     return acc
 

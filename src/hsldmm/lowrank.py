@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datacube import DataCube, MaskSet
+from .datacube import DataCube, MaskSet, _check_field_types
 
 __all__ = ["ApgConfig", "svt", "apg_complete", "completion_objective"]
 
@@ -35,6 +35,7 @@ class ApgConfig:
     tol: float = 1e-4
 
     def __post_init__(self):
+        _check_field_types(self)  # before the ranges, which compare numbers
         if not 0.0 < self.mu_decay < 1.0:
             raise ValueError(f"mu_decay must be in (0, 1), got {self.mu_decay}")
         if not 0.0 < self.tol < math.inf:

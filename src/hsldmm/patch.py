@@ -21,6 +21,8 @@ __all__ = [
     "patch_component_adjoint",
 ]
 
+_MAX_PATCH_BYTES = 2 << 30  # the largest patch matrix extract_patches allocates
+
 
 @dataclass(frozen=True)
 class PatchGeometry:
@@ -75,7 +77,7 @@ def shift_permutation(geom: PatchGeometry, j: int) -> np.ndarray:
     return (rows * geom.n + cols).reshape(-1)
 
 
-def extract_patches(cube: DataCube, geom: PatchGeometry, max_bytes: int = 2 << 30) -> np.ndarray:
+def extract_patches(cube: DataCube, geom: PatchGeometry) -> np.ndarray:
     """One flattened s1 x s2 x B patch per pixel.
 
     Returns an (m*n) x (s1*s2*B) matrix. Row p (pixel in row-major order)
@@ -90,8 +92,8 @@ def extract_patches(cube: DataCube, geom: PatchGeometry, max_bytes: int = 2 << 3
     B = cube.B
     d = geom.d_s * B
     need = geom.n_pixels * d * 8
-    if need > max_bytes:
-        raise ValueError(f"patch matrix needs {need} bytes, budget is {max_bytes}")
+    if need > _MAX_PATCH_BYTES:
+        raise ValueError(f"patch matrix needs {need} bytes, budget is {_MAX_PATCH_BYTES}")
     out = np.empty((geom.n_pixels, d), dtype=np.float64)
     for i in range(geom.d_s):
         dr, dc = divmod(i, geom.s2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .datacube import DataCube, MaskSet, psnr
+from .datacube import DataCube, MaskSet, _check_field_types, psnr
 from .graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
 from .patch import PatchGeometry, extract_patches
 
@@ -76,6 +76,7 @@ class SolverConfig:
     gmres_max_iters: int = 500
 
     def __post_init__(self):
+        _check_field_types(self)  # before the ranges, which compare numbers
         if self.s1 < 1 or self.s2 < 1:
             raise ValueError("patch dims must be at least 1")
         if self.k < 2:
@@ -133,41 +134,29 @@ class RunLog:
 class _BandGraph:
     """The part of every band operator that depends only on the graph:
     canonical CSR with a diagonal slot in every row, holding an explicit
-    zero (self weights do not enter the operator), the diagonal positions,
-    the row lengths and the row sums of the off-diagonal weights."""
+    zero (self weights do not enter the operator), the diagonal positions
+    and the row sums of the off-diagonal weights."""
 
     W: sp.csr_matrix
-    row_lengths: np.ndarray
     diag_pos: np.ndarray
     deg: np.ndarray
 
 
 def _band_graph(wtilde: sp.spmatrix) -> _BandGraph:
     """Graph-only state of the band operators, built once per graph."""
-    W = wtilde.tocsr().copy()  # its diagonal slots are zeroed below
-    N = W.shape[0]
-    if W.shape != (N, N):
-        raise ValueError(f"graph must be square, got {W.shape}")
-    W.sum_duplicates()
-    rows = np.repeat(np.arange(N), np.diff(W.indptr))
-    diag_pos = np.flatnonzero(rows == W.indices)
-    if diag_pos.size < N:
-        # give every row a diagonal slot
-        missing = np.setdiff1d(np.arange(N), rows[diag_pos])
-        W = sp.csr_matrix(
-            (
-                np.concatenate([W.data, np.zeros(missing.size)]),
-                (np.concatenate([rows, missing]), np.concatenate([W.indices, missing])),
-            ),
-            shape=(N, N),
-        )
-        rows = np.repeat(np.arange(N), np.diff(W.indptr))
-        diag_pos = np.flatnonzero(rows == W.indices)
+    if np.any(wtilde.data < 0.0):  # checked first: the add cancels a self weight of -1
+        raise ValueError("graph weights must be non-negative")
+    N = wtilde.shape[0]
+    # the add rejects a graph that is not square and makes a private copy with
+    # duplicates merged and a diagonal slot in every row, as self weight + 1 > 0
+    W = (wtilde + sp.identity(N, format="csr")).tocsr()
+    W.sort_indices()  # only an input that is not canonical leaves it unsorted
+    diag_pos = np.flatnonzero(np.repeat(np.arange(N), np.diff(W.indptr)) == W.indices)
     # The degree is summed without the self weight rather than as the full
     # row sum minus it: when every other weight of a row is below eps times
     # the self weight, that difference rounds to exactly 0.
     W.data[diag_pos] = 0.0
-    return _BandGraph(W, np.diff(W.indptr), diag_pos, W @ np.ones(N))
+    return _BandGraph(W, diag_pos, W @ np.ones(N))
 
 
 def assemble_band_system(
@@ -207,7 +196,7 @@ def assemble_band_system(
     mu_chi = mu * chi
     # data = -(2 + mu chi_x + mu chi_y) w(x, y); the gather of mu chi_y goes
     # in chunks so that data is the only temporary of the size of the graph
-    data = np.repeat(2.0 + mu_chi, graph.row_lengths)
+    data = np.repeat(2.0 + mu_chi, np.diff(W.indptr))
     for lo in range(0, data.size, _GATHER_CHUNK):
         part = data[lo : lo + _GATHER_CHUNK]
         part += mu_chi[W.indices[lo : lo + _GATHER_CHUNK]]
@@ -417,7 +406,7 @@ def ldmm_reconstruct(
     number of bands, and it lets the bands of large graphs be solved on
     threads. Results, log records, warnings and errors are taken in band
     order, so the output does not depend on the thread count. ``ref`` adds
-    per-iteration PSNR to ``log``.
+    per-iteration PSNR to ``log`` and is not read without it.
     """
     if b.dims != masks.dims:
         raise ValueError(f"cube dims {b.dims} do not match mask dims {masks.dims}")
@@ -485,13 +474,12 @@ def ldmm_reconstruct(
                 RuntimeWarning,
                 stacklevel=2,
             )
-        rec: dict = {"iteration": it, "lambda": lam, "mean_degree": mean_degree,
-                     "nnz": nnz, "graph_secs": graph_secs,
-                     "secs": time.perf_counter() - t0}
-        if ref is not None:
-            met = psnr(DataCube(u), ref)
-            rec["psnr_paper"] = met.psnr_paper
-            rec["psnr_standard"] = met.psnr_standard
         if log is not None:
+            rec: dict = {"iteration": it, "lambda": lam, "mean_degree": mean_degree,
+                         "nnz": nnz, "graph_secs": graph_secs,
+                         "secs": time.perf_counter() - t0}
+            if ref is not None:
+                met = psnr(DataCube(u), ref)
+                rec.update(psnr_paper=met.psnr_paper, psnr_standard=met.psnr_standard)
             log.iterations.append(rec)
     return DataCube(u)

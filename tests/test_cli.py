@@ -201,6 +201,22 @@ def test_reconstruct_bad_option_is_usage_error_and_writes_nothing(tmp_path, caps
     assert not rec.exists() and not (tmp_path / "rec.manifest").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "k=4.5", "outer_iters=1.5", "gmres_restart=2.0", "s1=1.0", "k=abc", "lambda_rel=abc",
+])
+def test_reconstruct_mistyped_config_value_is_usage_error(tmp_path, capsys, line):
+    gt, obs, mask = corrupted(tmp_path, capsys)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    rec = tmp_path / "rec.hsc"
+    code, _, err = run(
+        ["reconstruct", str(obs), str(mask), "-o", str(rec), "--config", str(cfgfile),
+         "--init", "zero"], capsys)
+    assert code == 1
+    assert f"{line.split('=')[0]} must be" in err
+    assert not rec.exists() and not (tmp_path / "rec.manifest").exists()
+
+
 def test_reconstruct_manifest_counts_starved_gmres(tmp_path, capsys):
     gt, obs, mask = corrupted(tmp_path, capsys)
     rec = tmp_path / "rec.hsc"

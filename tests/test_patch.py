@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hsldmm.patch as patch_mod
 from hsldmm import (
     DataCube,
     PatchGeometry,
@@ -113,13 +114,14 @@ def test_extract_matches_shift_index_exhaustively():
                     assert rows[r * 7 + c, i * B + t] == cube.values[t, rr, cc]
 
 
-def test_extract_dim_mismatch_and_budget():
+def test_extract_dim_mismatch_and_budget(monkeypatch):
     rng = np.random.default_rng(2)
     cube = DataCube(rng.random((1, 4, 4)))
     with pytest.raises(ValueError):
         extract_patches(cube, PatchGeometry(2, 2, 5, 5))
+    monkeypatch.setattr(patch_mod, "_MAX_PATCH_BYTES", 10)
     with pytest.raises(ValueError):
-        extract_patches(cube, PatchGeometry(2, 2, 4, 4), max_bytes=10)
+        extract_patches(cube, PatchGeometry(2, 2, 4, 4))
 
 
 # --- component apply / adjoint --------------------------------------------

@@ -186,6 +186,22 @@ def test_assemble_matches_sparse_product_form():
         g.eliminate_zeros()
         graphs.append(g)
     graphs.append(sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])))
+    # inputs that are not canonical CSR, each made from a shift-summed graph
+    base = graphs[1]
+    n = base.shape[0]
+    extra = np.random.default_rng(41).random(base.nnz)
+    # every entry stored twice, with two different weights
+    graphs.append(sp.csr_matrix(
+        (np.column_stack([base.data, extra]).ravel(), np.repeat(base.indices, 2), 2 * base.indptr),
+        shape=(n, n)))
+    # each row's indices in descending order
+    order = np.lexsort((-base.indices, np.repeat(np.arange(n), np.diff(base.indptr))))
+    graphs.append(sp.csr_matrix((base.data[order], base.indices[order], base.indptr), shape=(n, n)))
+    # explicit zeros, on and off the diagonal
+    zeros = base.copy()
+    zeros.data[::3] = 0.0
+    graphs.append(zeros)
+    graphs.append(base.tocoo())
     for wt in graphs:
         n = wt.shape[0]
         # the graph-only state the outer loop builds once and shares across bands
@@ -205,6 +221,15 @@ def test_assemble_matches_sparse_product_form():
                     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
+def test_assemble_rejects_negative_weights():
+    path = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))
+    for x, y, w in ((0, 1, -0.5), (1, 1, -1.0)):  # an edge, then a self weight that + 1 cancels
+        wt = path.copy()
+        wt[x, y] = w
+        with pytest.raises(ValueError, match="non-negative"):
+            assemble_band_system(wt, np.ones(3, bool), np.zeros(3), 1.0, 0.5)
+
+
 def test_assemble_validation():
     wt = sp.identity(4, format="csr")
     with pytest.raises(ValueError):
@@ -213,6 +238,8 @@ def test_assemble_validation():
         assemble_band_system(wt, np.ones((2, 2), bool), np.zeros((2, 2)), -1.0, 0.5)
     with pytest.raises(ValueError):
         assemble_band_system(wt, np.ones((3, 3), bool), np.zeros((2, 2)), 1.0, 0.5)
+    with pytest.raises(ValueError):  # a graph that is not square
+        assemble_band_system(sp.csr_matrix((4, 5)), np.ones((2, 2), bool), np.zeros((2, 2)), 1.0, 0.5)
 
 
 def test_assemble_keeps_a_row_whose_other_weights_are_below_eps():
@@ -529,6 +556,17 @@ def test_ldmm_does_not_evaluate_the_energy(monkeypatch):
     log = RunLog()
     ldmm_reconstruct(b, masks, SolverConfig(k=6, r_sigma=3, outer_iters=1), b, log=log)
     assert len(log.bands) == 2
+
+
+def test_ldmm_reads_ref_only_for_the_log(monkeypatch):
+    def no_psnr(*args, **kwargs):
+        raise AssertionError("psnr computed without a log")
+
+    monkeypatch.setattr(solver_mod, "psnr", no_psnr)
+    cube = synth_cube(SyntheticSpec(6, 6, 2, 1, smoothness=1.0, seed=25))
+    masks = make_mask(cube.dims, 0.5, 26)
+    b = apply_mask(cube, masks)
+    ldmm_reconstruct(b, masks, SolverConfig(k=6, r_sigma=3, outer_iters=1), b, ref=cube)
 
 
 def test_ldmm_warns_once_per_iteration_when_gmres_stops_short():
