@@ -4,11 +4,13 @@ shift-summed matrix shared by every spectral band."""
 from __future__ import annotations
 
 import math
+import queue
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._workers import _in_order, _pool_size
 from .patch import PatchGeometry, shift_permutation
 
 __all__ = [
@@ -43,18 +45,22 @@ class NeighborTable:
         return self.indices.shape[1]
 
 
-# settle temporaries stay near 1 MiB; larger ones only raised peak memory
-_CHUNK_BYTES = 1 << 20
-# one float32 screen block; of 2, 4 and 8 MiB, 2 MiB was as fast or faster on
-# every benchmark workload. Its partitioned copy and a boolean band mask are
-# the screen's only other temporaries of that shape
+# the settle temporaries of all kNN workers together; of 1 MiB, 512, 256 and
+# 128 KiB, 512 KiB was as fast or faster on every benchmark workload with two
+# workers, and larger budgets only raised peak memory
+_CHUNK_BYTES = 1 << 19
+# the float32 screen blocks of all kNN workers together; of 2, 4 and 8 MiB,
+# 2 MiB was as fast or faster on every benchmark workload, and 1 MiB was
+# slower. Each worker's block has a boolean band mask and a quarter block for
+# the partitioned copy beside it: the screen's only temporaries of its width
 _BLOCK_BYTES = 2 << 20
 
 
-def _pair_sq_dists(P: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """((P[x] - P[y])**2).sum() per index pair, the oracle's difference form."""
+def _pair_sq_dists(P: np.ndarray, x: np.ndarray, y: np.ndarray, budget: int) -> np.ndarray:
+    """((P[x] - P[y])**2).sum() per index pair, the oracle's difference form,
+    with temporaries of about ``budget`` bytes."""
     out = np.empty(x.size)
-    step = max(1, _CHUNK_BYTES // (8 * max(1, P.shape[1])))
+    step = max(1, budget // (8 * max(1, P.shape[1])))
     for a in range(0, x.size, step):
         diff = P[x[a : a + step]] - P[y[a : a + step]]
         np.square(diff, out=diff)
@@ -63,7 +69,15 @@ def _pair_sq_dists(P: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _smallest_k(
-    D: np.ndarray, k: int, P: np.ndarray, rows: np.ndarray, tol: np.ndarray, zero: np.ndarray
+    D: np.ndarray,
+    k: int,
+    P: np.ndarray,
+    rows: np.ndarray,
+    tol: np.ndarray,
+    zero: np.ndarray,
+    part: np.ndarray,
+    band: np.ndarray,
+    budget: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The k nearest neighbors of ``rows`` exactly as the oracle ranks them:
     by (difference-form distance, index), the row itself first.
@@ -72,16 +86,24 @@ def _smallest_k(
     ``tol`` of the difference form in the screen's units. Every exact
     neighbor then screens within 2*tol of the screened k-th value, so only
     that band is settled exactly; a row without near ties has exactly k
-    entries in it.
+    entries in it. ``band`` is scratch of ``D``'s shape for the band mask,
+    and ``part`` scratch of ``D``'s width for the partitioned copy of a few
+    rows at a time; the settle's temporaries stay near ``budget`` bytes.
     """
     nb = D.shape[0]
     D[np.arange(nb), rows] = -np.inf  # the row itself ranks first
+    kth = np.empty(nb, dtype=D.dtype)
+    for lo in range(0, nb, len(part)):
+        sub = part[: min(len(part), nb - lo)]
+        np.copyto(sub, D[lo : lo + len(sub)])
+        sub.partition(k - 1, axis=1)
+        kth[lo : lo + len(sub)] = sub[:, k - 1]
     # rounding to nearest is monotone, so no screened value <= the exact edge
-    # is dropped; taking the copy's column by value frees the partitioned copy
-    edge = (np.partition(D, k - 1, axis=1)[:, k - 1] + 2.0 * tol).astype(D.dtype)
-    band = D <= edge[:, None]
+    # is dropped
+    edge = (kth + 2.0 * tol).astype(D.dtype)
+    np.less_equal(D, edge[:, None], out=band)
     counts = np.count_nonzero(band, axis=1)
-    step = max(1, _CHUNK_BYTES // (8 * int(counts.max())))  # rows per chunk of band entries
+    step = max(1, budget // (8 * int(counts.max())))  # rows per chunk of band entries
     idx = np.empty((nb, k), dtype=np.int64)
     d2 = np.empty((nb, k))
     for lo in range(0, nb, step):
@@ -90,7 +112,7 @@ def _smallest_k(
         x = rows[lo + r]
         e = np.zeros(r.size)
         live = ~(zero[x] & zero[c])  # two all-zero patches are exactly 0 apart in either form
-        e[live] = _pair_sq_dists(P, x[live], c[live])
+        e[live] = _pair_sq_dists(P, x[live], c[live], budget)
         e[c == x] = -np.inf
         order = np.lexsort((e, r))  # stable: equal distances keep index order
         first = order[(np.cumsum(counts[chunk]) - counts[chunk])[:, None] + np.arange(k)]
@@ -105,10 +127,19 @@ def knn_exact(patches: np.ndarray, k: int) -> NeighborTable:
 
     Bitwise the answer of ``oracle.naive_knn``. The patches are centred on
     their mean in float64, scaled by 2**s so that max |entry| lies in
-    [0.5, 1) (exact), and cast to float32 ``Q``. Each block of about
-    ``_BLOCK_BYTES`` is screened by one float32 Gram form
-    ``n_x + n_y - 2 q_x.q_y``, with ``n`` the squared norms of ``Q`` summed
-    in float64, and its rows are settled as in ``_smallest_k``.
+    [0.5, 1) (exact), and cast to float32 ``Q``. Each block of rows is
+    screened by one float32 Gram form ``n_x + n_y - 2 q_x.q_y``, with ``n``
+    the squared norms of ``Q`` summed in float64, and its rows are settled
+    as in ``_smallest_k``.
+
+    The blocks run on one worker thread per usable CPU, with BLAS pinned to
+    one thread and each worker on its own scratch, which this call
+    allocates; ``_BLOCK_BYTES`` and ``_CHUNK_BYTES`` are shared out among
+    the workers, so the memory does not grow with their number. Without the
+    pin there is one worker (see ``_workers``). The screen's GEMM is
+    ``np.dot``, which releases the interpreter lock during BLAS, where ``@``
+    keeps it; the settle's Python-level steps hold it. The table does not
+    depend on the number of workers or the block size.
 
     Certificate, in scaled units. Let u = 2**-24 and t = 2**-126 be float32's
     unit roundoff and smallest normal, u64 and t64 float64's, and
@@ -126,6 +157,11 @@ def knn_exact(patches: np.ndarray, k: int) -> NeighborTable:
     tol = 2 (d + 10) (u M + 10 t) + 2 d t64 4**s, with M taken at the row's
     and the largest norm.
     """
+    return _knn_exact(patches, k, _pool_size())
+
+
+def _knn_exact(patches: np.ndarray, k: int, workers: int) -> NeighborTable:
+    """``knn_exact`` on at most ``workers`` threads."""
     P = np.ascontiguousarray(patches, dtype=np.float64)
     if P.ndim != 2:
         raise ValueError(f"patch matrix must be 2-d, got shape {P.shape}")
@@ -148,19 +184,39 @@ def knn_exact(patches: np.ndarray, k: int) -> NeighborTable:
     under = math.ldexp(2.0 * d * np.finfo(np.float64).tiny, min(2 * s, 1030))
     tol = 2.0 * (d + 10) * (u * (q2 + q2.max()) + 10.0 * t) + under
     zero = ~P.any(axis=1)
+    workers = min(workers, N)
+    block_rows = min(N, max(1, _BLOCK_BYTES // (4 * N * workers)))
+    starts = range(0, N, block_rows)
+    workers = min(workers, len(starts))
+    budget = _CHUNK_BYTES // workers
+    free = queue.SimpleQueue()  # one scratch set per worker, taken for one block at a time
+    for _ in range(workers):
+        # a quarter block for the partitioned copy was as fast as a whole one
+        # and holds less memory through the settle
+        part = np.empty((max(1, block_rows // 4), N), np.float32)
+        free.put((np.empty((block_rows, N), np.float32), part, np.empty((block_rows, N), bool)))
+
+    def block(i):
+        start = starts[i]
+        stop = min(start + block_rows, N)
+        scratch = free.get()
+        try:
+            D, part, band = scratch
+            D, band = D[: stop - start], band[: stop - start]
+            np.dot(Q[start:stop], Q.T, out=D)
+            D *= -2.0
+            D += n[start:stop, None]
+            D += n
+            rows = np.arange(start, stop)
+            return _smallest_k(D, k, P, rows, tol[start:stop], zero, part, band, budget)
+        finally:
+            free.put(scratch)
+
     idx_out = np.empty((N, k), dtype=np.int64)
     d2_out = np.empty((N, k), dtype=np.float64)
-    block_rows = max(1, _BLOCK_BYTES // (4 * N))
-    block = np.empty((min(block_rows, N), N), dtype=np.float32)
-    for start in range(0, N, block_rows):
-        stop = min(start + block_rows, N)
-        D = block[: stop - start]
-        np.matmul(Q[start:stop], Q.T, out=D)
-        D *= -2.0
-        D += n[start:stop, None]
-        D += n
-        rows = np.arange(start, stop)
-        idx_out[start:stop], d2_out[start:stop] = _smallest_k(D, k, P, rows, tol[start:stop], zero)
+    for start, (idx, d2) in zip(starts, _in_order(block, len(starts), workers), strict=True):
+        idx_out[start : start + block_rows] = idx
+        d2_out[start : start + block_rows] = d2
     return NeighborTable(indices=idx_out, sq_dists=d2_out)
 
 

@@ -268,28 +268,31 @@ def _check_svt() -> bool:
 
 
 def _check_band_threads() -> bool:
+    from ._workers import _in_order
     from .datacube import make_mask
-    from .graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
+    from .graph import _knn_exact, assemble_wtilde, build_bar_w, local_scale
     from .patch import PatchGeometry, extract_patches
-    from .solver import SolverConfig, _band_graph, _gmres, _in_order, assemble_band_system
+    from .solver import SolverConfig, _band_graph, _gmres, assemble_band_system
 
-    # one outer iteration's band solves on one and on two threads; bitwise
-    # equality needs the installed BLAS to answer concurrent callers as it
-    # answers one
-    cube = synth_cube(SyntheticSpec(16, 16, 6, 2, smoothness=1.0, seed=4))
-    geom = PatchGeometry(2, 2, 16, 16)
+    # one outer iteration's kNN table (four row blocks on two workers) and
+    # band solves on one and on two workers; bitwise equality needs the
+    # installed BLAS to answer concurrent callers as it answers one
+    cube = synth_cube(SyntheticSpec(32, 32, 6, 2, smoothness=1.0, seed=4))
+    geom = PatchGeometry(2, 2, 32, 32)
     patches = extract_patches(cube, geom)
-    table = knn_exact(patches, 10)
+    table, table2 = (_knn_exact(patches, 10, workers) for workers in (1, 2))
     graph = _band_graph(assemble_wtilde(build_bar_w(table, local_scale(table, 5)), geom))
     masks = make_mask(cube.dims, 0.2, 5)
     cfg = SolverConfig(k=10, r_sigma=5)
 
     def solve(t):
         system = assemble_band_system(graph, masks.band(t), cube.band(t), 50.0, 0.2, band=t)
-        return _gmres(system, np.zeros(256), cfg)[0]
+        return _gmres(system, np.zeros(1024), cfg)[0]
 
     serial, threaded = (list(_in_order(solve, cube.B, workers)) for workers in (1, 2))
-    return all(np.array_equal(x, y) for x, y in zip(serial, threaded))
+    return (np.array_equal(table.indices, table2.indices)
+            and np.array_equal(table.sq_dists, table2.sq_dists)
+            and all(np.array_equal(x, y) for x, y in zip(serial, threaded)))
 
 
 def selfcheck(verbose: bool = True) -> bool:
@@ -303,6 +306,11 @@ def selfcheck(verbose: bool = True) -> bool:
         ("svt_closed_form", _check_svt),
         ("band_threads", _check_band_threads),
     ]
+    if verbose:
+        from ._workers import _pin
+
+        state = "active" if _pin else "missing, so kNN blocks and bands run on one thread"
+        print(f"BLAS pin for worker threads (openblas_set_num_threads_local): {state}")
     ok = True
     for name, fn in checks:
         passed = fn()

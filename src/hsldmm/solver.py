@@ -3,18 +3,16 @@ alternates graph construction with band-by-band solves."""
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._workers import _in_order, _pool_size
 from .datacube import DataCube, MaskSet, _check_field_types, psnr
 from .graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
 from .patch import PatchGeometry, extract_patches
@@ -33,21 +31,6 @@ __all__ = [
 
 # entries of the graph per chunk of the band fill's neighbour gather
 _GATHER_CHUNK = 1 << 16
-
-# The bands of an outer iteration are solved on threads when the graph has
-# at least _PARALLEL_NNZ stored entries and at most _PARALLEL_MAX_PIXELS rows.
-# Below the nnz cut GMRES is bound by its Python-level loop, which holds the
-# GIL. Measured on 2 vCPU (8-16 bands, 1x1 and 2x2 patches, OpenBLAS on 2
-# threads), one iteration's bands took, on two threads against one, 1.3-1.4x
-# as long at nnz 20-46K, 1.0-1.1x at 63-82K, 0.75-0.93x at 104-128K and
-# 0.65-0.86x from 150K to 665K (one of two medians at 152K read 1.10x).
-# Above the pixel cut numpy's OpenBLAS runs the dot products behind GMRES's
-# norms (longer than 10000 entries) on its own thread pool, which then
-# contends with the band threads: at 10816 and 12544 pixels the bands took
-# 2x as long on two threads.
-_PARALLEL_NNZ = 1 << 17
-_PARALLEL_MAX_PIXELS = 10_000
-
 
 class NumericalError(RuntimeError):
     """Solver breakdown: singular assembly or a non-finite iterate."""
@@ -211,6 +194,10 @@ def assemble_band_system(
     return BandSystem(A=A, rhs=rhs, band=band, mu=mu, lam=lam)
 
 
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.dot(v, v))  # np.linalg.norm's value and BLAS call, with less overhead
+
+
 def _gmres(
     system: BandSystem, x0: np.ndarray, cfg: SolverConfig
 ) -> tuple[np.ndarray, int, float, bool]:
@@ -224,7 +211,10 @@ def _gmres(
     true residual ||rhs - A x|| <= tol ||rhs|| decides convergence, and
     ``ptol`` is re-aimed after every cycle (scipy gh-8400). The Arnoldi
     basis uses two passes of classical Gram-Schmidt; ``cfg.gmres_max_iters``
-    caps the total number of inner iterations exactly.
+    caps the total number of inner iterations exactly. Its products and
+    norms are ``np.dot`` into preallocated buffers, which release the
+    interpreter lock during BLAS (``@`` keeps it), so that band solves on
+    worker threads overlap.
 
     Returns (solution, inner iterations, final preconditioned relative
     residual ||D^-1 (rhs - A x)|| / ||D^-1 rhs||, converged flag).
@@ -235,41 +225,44 @@ def _gmres(
     if zero_rows.size:
         raise NumericalError(f"zero diagonal entry at row {zero_rows[0]} of band {system.band}")
     inv_diag = 1.0 / diag
-    bnrm2 = float(np.linalg.norm(b))
+    bnrm2 = _norm(b)
     if bnrm2 == 0.0:
         return np.zeros_like(b), 0, 0.0, True
     n = b.shape[0]
     eps = float(np.finfo(np.float64).eps)
     atol = cfg.gmres_tol * bnrm2
     restart = min(cfg.gmres_restart, n)
-    mb_nrm2 = float(np.linalg.norm(inv_diag * b))
+    mb_nrm2 = _norm(inv_diag * b)
     ptol_max_factor = 1.0
     ptol = mb_nrm2 * min(ptol_max_factor, atol / bnrm2)
     x = np.array(x0, dtype=np.float64)
     r = b - A @ x if x.any() else b.copy()
-    rnorm = float(np.linalg.norm(r))
+    rnorm = _norm(r)
     iters = 0
     V = np.empty((restart + 1, n))
+    w, proj = np.empty(n), np.empty(n)
+    h, h2 = np.empty(restart), np.empty(restart)
     while rnorm >= atol and iters < cfg.gmres_max_iters:
-        V[0] = inv_diag * r
-        g = [float(np.linalg.norm(V[0]))]  # rotated residual vector
+        np.multiply(inv_diag, r, out=V[0])
+        g = [_norm(V[0])]  # rotated residual vector
         V[0] *= 1.0 / g[0]
         R: list[list[float]] = []  # rotated Hessenberg columns
         rots: list[tuple[float, float]] = []
         for j in range(min(restart, cfg.gmres_max_iters - iters)):
-            w = inv_diag * (A @ V[j])
-            h0 = float(np.linalg.norm(w))
-            h = V[: j + 1] @ w
-            w -= h @ V[: j + 1]
-            h2 = V[: j + 1] @ w
-            w -= h2 @ V[: j + 1]
-            col = (h + h2).tolist()
-            h1 = float(np.linalg.norm(w))
+            basis, hj, h2j = V[: j + 1], h[: j + 1], h2[: j + 1]
+            np.multiply(inv_diag, A @ V[j], out=w)
+            h0 = _norm(w)
+            np.dot(basis, w, out=hj)
+            w -= np.dot(hj, basis, out=proj)
+            np.dot(basis, w, out=h2j)
+            w -= np.dot(h2j, basis, out=proj)
+            col = (hj + h2j).tolist()
+            h1 = _norm(w)
             breakdown = h1 <= eps * h0  # the Krylov space holds the exact solution
             if breakdown:
                 h1 = 0.0
             else:
-                V[j + 1] = w * (1.0 / h1)
+                np.multiply(w, 1.0 / h1, out=V[j + 1])
             for k, (c, sn) in enumerate(rots):
                 col[k], col[k + 1] = c * col[k] + sn * col[k + 1], -sn * col[k] + c * col[k + 1]
             f = col[j]
@@ -305,9 +298,9 @@ def _gmres(
                     y[i] -= y[k] * R[k][i]
         if y[0] != 0.0:
             y[0] /= R[0][0]
-        x += np.array(y) @ V[:m]
+        x += np.dot(y, V[:m])
         r = b - A @ x
-        rnorm = float(np.linalg.norm(r))
+        rnorm = _norm(r)
         if rnorm <= atol or breakdown:
             break
         if presid <= ptol:
@@ -315,7 +308,7 @@ def _gmres(
         else:
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
-    final = float(np.linalg.norm(inv_diag * r)) / mb_nrm2
+    final = _norm(inv_diag * r) / mb_nrm2
     return x, iters, final, rnorm <= atol
 
 
@@ -364,30 +357,6 @@ def wnll_energy(
     return total + lam * float(misfit @ misfit)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _in_order(fn, count: int, workers: int):
-    """Yield fn(0), ..., fn(count - 1) in that order, computed on
-    ``workers`` threads when there are more than one.
-
-    Each call runs in its own copy of the caller's context, because
-    ``np.errstate`` is a context variable and new threads start without it.
-    An exception is raised when its call's turn comes; closing the generator
-    cancels the calls not yet started and waits for the running ones.
-    """
-    if workers == 1:
-        yield from map(fn, range(count))
-        return
-    contexts = [contextvars.copy_context() for _ in range(count)]
-    with ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(lambda ctx, i: ctx.run(fn, i), contexts, range(count))
-
-
 def ldmm_reconstruct(
     b: DataCube,
     masks: MaskSet,
@@ -403,9 +372,10 @@ def ldmm_reconstruct(
     kNN similarity graph on the spatial grid, shift-sums it, and then solves
     the per-band systems by warm-started GMRES. All bands in an iteration
     share the same graph; that sharing is what keeps the cost flat in the
-    number of bands, and it lets the bands of large graphs be solved on
-    threads. Results, log records, warnings and errors are taken in band
-    order, so the output does not depend on the thread count. ``ref`` adds
+    number of bands, and it lets the bands be solved on one worker per
+    usable CPU, as the kNN row blocks are (see ``_workers``). Results, log
+    records, warnings and errors are taken in band order, so the output
+    does not depend on the number of workers. ``ref`` adds
     per-iteration PSNR to ``log`` and is not read without it.
     """
     if b.dims != masks.dims:
@@ -436,9 +406,6 @@ def ldmm_reconstruct(
         graph = _band_graph(wtilde)
         nnz = wtilde.nnz
         del wtilde  # the band graph holds its own copy of the weights
-        workers = 1
-        if nnz >= _PARALLEL_NNZ and n_pix <= _PARALLEL_MAX_PIXELS:
-            workers = min(b.B, _usable_cpus())
 
         def solve(t):
             system = assemble_band_system(
@@ -450,7 +417,7 @@ def ldmm_reconstruct(
                 raise NumericalError(f"iteration {it}: {exc}") from exc
 
         unconverged: dict[int, float] = {}
-        with closing(_in_order(solve, b.B, workers)) as results:
+        with closing(_in_order(solve, b.B, min(b.B, _pool_size()))) as results:
             for t, (x, iters, resid, converged) in enumerate(results):
                 if not np.all(np.isfinite(x)):
                     raise NumericalError(f"non-finite band solution at iteration {it}, band {t}")

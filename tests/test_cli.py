@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsldmm
 from hsldmm import DataCube, psnr
 from hsldmm.cli import format_manifest, main, parse_manifest
 from hsldmm.hsio import read_cube, read_mask, write_cube
@@ -353,6 +358,21 @@ def test_selfcheck_exits_zero(capsys):
     code, stdout, _ = run(["selfcheck"], capsys)
     assert code == 0
     assert "FAIL" not in stdout
+
+
+@pytest.mark.parametrize("command, status", [("selfcheck", 0), ("frobnicate", 1)])
+def test_python_m_hsldmm_exits_with_the_cli_status(command, status):
+    src = Path(hsldmm.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "hsldmm", command],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == status
+    if status == 0:
+        assert done.stdout.count("PASS") == 7 and "FAIL" not in done.stdout
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hsldmm import (
     knn_exact,
     local_scale,
 )
-from hsldmm import graph
+from hsldmm import _workers, graph
 from hsldmm.oracle import naive_bar_w, naive_knn, naive_wtilde
 
 
@@ -59,7 +61,8 @@ def test_knn_is_bitwise_oracle_on_clustered_offset_data():
 
 
 def block_sizes(n):
-    """_BLOCK_BYTES values giving 1-row, 7-row and whole-matrix screen blocks."""
+    """_BLOCK_BYTES values giving 1-row, 7-row and whole-matrix screen blocks
+    on one worker."""
     return [4 * n * rows for rows in (1, 7, n)]
 
 
@@ -126,14 +129,120 @@ def test_knn_settles_a_narrow_band(monkeypatch, offset, spread, n, d):
     settled = []
     pair_sq_dists = graph._pair_sq_dists
 
-    def counting(P, x, y):
+    def counting(P, x, y, budget):
         settled.append(x.size)
-        return pair_sq_dists(P, x, y)
+        return pair_sq_dists(P, x, y, budget)
 
     monkeypatch.setattr(graph, "_pair_sq_dists", counting)
     k = 10
     knn_exact(offset + spread * cloud(n, d, 15), k)
     assert sum(settled) <= 1.5 * n * k
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 30),  # 1 and 2 rows are fewer than the three workers
+    d=st.sampled_from([1, 3, 8]),
+    offset=st.sampled_from([0.0, 1e4]),
+    zero_frac=st.sampled_from([0.0, 0.5, 1.0]),  # all-zero duplicate rows
+    block_rows=st.sampled_from([1, 2, 5]),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.one_of(st.just(30), st.integers(1, 30)),  # capped at n: 30 is k = N
+)
+def test_knn_workers_are_bitwise_oracle(n, d, offset, zero_frac, block_rows, seed, k):
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+    pts = offset + 1e-2 * rng.random((n, d))
+    pts[rng.random(n) < zero_frac] = 0.0
+    idx, d2 = naive_knn(pts, k)
+    for workers in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            # block_rows rows per worker's block; settle chunks of a few rows
+            mp.setattr(graph, "_BLOCK_BYTES", 4 * n * workers * block_rows)
+            mp.setattr(graph, "_CHUNK_BYTES", 64 * workers)
+            table = graph._knn_exact(pts, k, workers)
+        assert np.array_equal(table.indices, idx)
+        assert np.array_equal(table.sq_dists, d2)
+
+
+def fake_pin(monkeypatch, count=4):
+    """Replace the BLAS pin by one that keeps a thread count in a dict."""
+    state = {"threads": count}
+
+    def pin(threads):
+        previous, state["threads"] = state["threads"], threads
+        return previous
+
+    monkeypatch.setattr(_workers, "_pin", pin)
+    return state
+
+
+def traced_select(monkeypatch, state=None, fail_from=None):
+    """Wrap graph._smallest_k: record the threads that run it and the BLAS
+    thread count each call sees; divide by zero on the block that holds row
+    ``fail_from``."""
+    seen = []
+    real = graph._smallest_k
+
+    def select(D, k, P, rows, *args):
+        seen.append((threading.get_ident(), state and state["threads"]))
+        if fail_from is not None and rows[0] <= fail_from <= rows[-1]:
+            np.float64(1.0) / np.float64(0.0)
+        return real(D, k, P, rows, *args)
+
+    monkeypatch.setattr(graph, "_smallest_k", select)
+    return seen
+
+
+def test_knn_runs_blocks_on_pinned_workers_and_restores_the_count(monkeypatch):
+    pts = cloud(120, 4, 5)
+    idx, d2 = naive_knn(pts, 6)
+    state = fake_pin(monkeypatch)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 4 * 120 * 3 * 8)  # 15 blocks of 8 rows
+    seen = traced_select(monkeypatch, state)
+    # switch threads often, so that two blocks sharing scratch would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        table = knn_exact(pts, 6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(table.indices, idx)
+    assert np.array_equal(table.sq_dists, d2)
+    assert len(seen) == 15 and {threads for _, threads in seen} == {1}
+    assert threading.get_ident() not in {ident for ident, _ in seen}
+    assert state["threads"] == 4  # the caller's count is back
+
+
+def test_knn_without_the_pin_runs_on_one_worker(monkeypatch):
+    pts = cloud(120, 4, 6)
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 4 * 120 * 8)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
+    pinned = knn_exact(pts, 6)
+    monkeypatch.setattr(_workers, "_pin", None)  # numpy without the symbol
+    assert _workers._pool_size() == 1
+    seen = traced_select(monkeypatch)
+    table = knn_exact(pts, 6)
+    assert {ident for ident, _ in seen} == {threading.get_ident()}
+    assert np.array_equal(table.indices, pinned.indices)
+    assert np.array_equal(table.sq_dists, pinned.sq_dists)
+
+
+def test_knn_workers_keep_the_callers_errstate(monkeypatch):
+    fake_pin(monkeypatch)
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 4 * 120 * 8)
+    seen = traced_select(monkeypatch, fail_from=100)
+    pts = cloud(120, 4, 7)
+    found = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
+        seen.clear()
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError) as exc:
+            knn_exact(pts, 6)
+        found.append(str(exc.value))
+        assert (threading.get_ident() in {ident for ident, _ in seen}) == (cpus == 1)
+    assert found[0] == found[1]
 
 
 def test_knn_duplicate_points_keep_self_first():

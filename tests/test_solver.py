@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hsldmm.solver as solver_mod
+from hsldmm import _workers
 from hsldmm import (
     DataCube,
     MaskSet,
@@ -606,8 +607,9 @@ def reconstruct_small(monkeypatch, threaded, cfg, gmres=None, log=None):
     """One reconstruction of an 8x8x5 cube, its bands solved on the calling
     thread or on three threads; returns the output, the log, the
     RuntimeWarning texts and the ids of the threads that ran GMRES."""
-    monkeypatch.setattr(solver_mod, "_PARALLEL_NNZ", 0 if threaded else 1 << 62)
-    monkeypatch.setattr(solver_mod, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3 if threaded else 1)
+    # workers need the BLAS pin; a numpy without it gets a stand-in
+    monkeypatch.setattr(_workers, "_pin", _workers._pin or (lambda threads: 1))
     real = gmres or _gmres
     threads = set()
 
