@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import sys
 import time
@@ -149,6 +150,17 @@ def _default_mask_path(output) -> str:
     return str(p.with_name(p.stem + ".mask" + (p.suffix or ".hsc")))
 
 
+def _apg_iters(trace: list) -> dict:
+    """``apg_iters`` and ``apg_stage<i>_iters`` from ``apg_complete``'s
+    (mu, objective) trace. Each stage has its own mu, so a stage is a run of
+    equal mu; when every sample is zero, mu_target is 0 and the stages, one
+    iteration each, read as one."""
+    counts = [len(list(run)) for _, run in itertools.groupby(mu for mu, _ in trace)]
+    entries = {f"apg_stage{i}_iters": count for i, count in enumerate(counts, 1)}
+    entries["apg_iters"] = len(trace)
+    return entries
+
+
 def cmd_reconstruct(args) -> int:
     t_start = time.perf_counter()
     stamp_start = datetime.now(timezone.utc).isoformat()
@@ -177,7 +189,9 @@ def cmd_reconstruct(args) -> int:
     try:
         t0 = time.perf_counter()
         if args.init == "apg":
-            u0 = apg_complete(data, masks, ApgConfig())
+            apg_trace: list = []
+            u0 = apg_complete(data, masks, ApgConfig(), apg_trace)
+            manifest.update(_apg_iters(apg_trace))
         elif args.init == "zero":
             u0 = apply_mask(data, masks)
         else:

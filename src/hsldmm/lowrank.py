@@ -1,8 +1,9 @@
 """Nuclear-norm matrix completion on the pixels-by-bands unfolding.
 
 Used to produce the starting cube for the manifold outer loop. The solver is
-an accelerated proximal gradient iteration with a monotone objective guard
-and continuation in the nuclear-norm weight.
+an accelerated proximal gradient iteration with a monotone objective guard,
+a momentum restart when the guard rejects a step, and continuation in the
+nuclear-norm weight.
 """
 
 from __future__ import annotations
@@ -88,9 +89,12 @@ def _apg_stage(
     cfg: ApgConfig,
     trace: list | None,
 ) -> tuple[np.ndarray, float, bool]:
-    # Monotone variant of FISTA: keep the best objective seen so the energy
-    # trace never increases at fixed mu. Convergence is judged on the prox
-    # sequence, which keeps moving even when the guard rejects a step.
+    # Monotone variant of FISTA (Beck & Teboulle 2009): keep the best
+    # objective seen so the energy trace never increases at fixed mu. A
+    # rejected step also restarts the momentum (O'Donoghue & Candes 2015):
+    # the next prox input is the kept iterate, a plain proximal gradient
+    # step. Convergence is judged on the prox sequence, which keeps moving
+    # even when the guard rejects a step.
     r = X.take(idx) - b_obs
     F_X = 0.5 * float(r @ r) + mu * nuc_X
     Y, X_prev, Z_prev = X.copy(), X, X
@@ -107,9 +111,10 @@ def _apg_stage(
         if F_Z <= F_X:
             Y *= (t - 1.0) / t_new
             X_prev, F_X, nuc_X = Z, F_Z, float(shrunk.sum())
+            Y += X_prev
         else:
-            Y *= t / t_new
-        Y += X_prev
+            t_new = 1.0
+            np.copyto(Y, X_prev)
         if trace is not None:
             trace.append((mu, F_X))
         t, Z_prev, norm_prev = t_new, Z, np.linalg.norm(Z)

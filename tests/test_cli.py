@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hsldmm
-from hsldmm import DataCube, psnr
+from hsldmm import ApgConfig, DataCube, psnr
 from hsldmm.cli import format_manifest, main, parse_manifest
 from hsldmm.hsio import read_cube, read_mask, write_cube
 
@@ -161,6 +161,24 @@ def test_reconstruct_pipeline_with_manifest(tmp_path, capsys):
     gt_cube = read_cube(gt)
     obs_cube = read_cube(obs)
     assert (psnr(rec_cube, gt_cube).psnr_paper > psnr(obs_cube, gt_cube).psnr_paper)
+
+
+def test_reconstruct_manifest_counts_apg_iterations(tmp_path, capsys):
+    gt, obs, mask = corrupted(tmp_path, capsys)
+    manifests = {}
+    for init in ("apg", "zero"):
+        rec = tmp_path / f"rec-{init}.hsc"
+        code, _, _ = run(
+            ["reconstruct", str(obs), str(mask), "-o", str(rec), "--init", init,
+             "--outer", "1", "--k", "10", "--r-sigma", "5"], capsys)
+        assert code == 0
+        manifests[init] = parse_manifest(rec.with_suffix(".manifest").read_text())
+    apg = manifests["apg"]
+    stage_keys = [f"apg_stage{i}_iters" for i in range(1, ApgConfig().n_stages + 1)]
+    assert {key for key in apg if key.startswith("apg_")} == {"apg_iters", *stage_keys}
+    assert all(apg[key] >= 1 for key in stage_keys)
+    assert sum(apg[key] for key in stage_keys) == apg["apg_iters"]
+    assert not any(key.startswith("apg_") for key in manifests["zero"])
 
 
 def test_reconstruct_patch_flag_selects_geometry(tmp_path, capsys):
