@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
-import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -150,17 +148,6 @@ def _default_mask_path(output) -> str:
     return str(p.with_name(p.stem + ".mask" + (p.suffix or ".hsc")))
 
 
-def _apg_iters(trace: list) -> dict:
-    """``apg_iters`` and ``apg_stage<i>_iters`` from ``apg_complete``'s
-    (mu, objective) trace. Each stage has its own mu, so a stage is a run of
-    equal mu; when every sample is zero, mu_target is 0 and the stages, one
-    iteration each, read as one."""
-    counts = [len(list(run)) for _, run in itertools.groupby(mu for mu, _ in trace)]
-    entries = {f"apg_stage{i}_iters": count for i, count in enumerate(counts, 1)}
-    entries["apg_iters"] = len(trace)
-    return entries
-
-
 def cmd_reconstruct(args) -> int:
     t_start = time.perf_counter()
     stamp_start = datetime.now(timezone.utc).isoformat()
@@ -189,9 +176,7 @@ def cmd_reconstruct(args) -> int:
     try:
         t0 = time.perf_counter()
         if args.init == "apg":
-            apg_trace: list = []
-            u0 = apg_complete(data, masks, ApgConfig(), apg_trace)
-            manifest.update(_apg_iters(apg_trace))
+            u0 = apg_complete(data, masks, ApgConfig(), log)
         elif args.init == "zero":
             u0 = apply_mask(data, masks)
         else:
@@ -251,45 +236,24 @@ def cmd_selfcheck(args) -> int:
     return 0 if selfcheck(verbose=True) else NUMERICAL_ERROR
 
 
-def _positive_int(text: str) -> int:
-    val = int(text)
-    if val < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return val
-
-
-def _rate(text: str) -> float:
-    val = float(text)
-    if not 0.0 < val <= 1.0:
-        raise argparse.ArgumentTypeError(f"rate must be in (0, 1], got {text}")
-    return val
-
-
-def _nonneg_float(text: str) -> float:
-    val = float(text)
-    if not 0.0 <= val < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
-    return val
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hsldmm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="write a synthetic low-rank cube")
-    p.add_argument("--m", type=_positive_int, default=32)
-    p.add_argument("--n", type=_positive_int, default=32)
-    p.add_argument("--bands", type=_positive_int, default=8)
-    p.add_argument("--rank", type=_positive_int, default=3)
-    p.add_argument("--smoothness", type=_nonneg_float, default=3.0)
+    p.add_argument("--m", type=int, default=32)
+    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--bands", type=int, default=8)
+    p.add_argument("--rank", type=int, default=3)
+    p.add_argument("--smoothness", type=float, default=3.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("corrupt", help="add noise, then subsample")
     p.add_argument("input")
-    p.add_argument("--rate", type=_rate, required=True)
-    p.add_argument("--noise-sigma", type=_nonneg_float, default=0.0)
+    p.add_argument("--rate", type=float, required=True)
+    p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--mask-out", default=None)
@@ -304,13 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", default=None, help="ground-truth cube for PSNR logging")
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--patch", default=None, help="spatial patch size, e.g. 2x2")
-    p.add_argument("--k", type=_positive_int, default=None)
-    p.add_argument("--r-sigma", dest="r_sigma", type=_positive_int, default=None)
-    p.add_argument("--lambda-rel", dest="lambda_rel", type=_nonneg_float, default=None)
-    p.add_argument("--outer", dest="outer_iters", type=_positive_int, default=None)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--r-sigma", dest="r_sigma", type=int, default=None)
+    p.add_argument("--lambda-rel", dest="lambda_rel", type=float, default=None)
+    p.add_argument("--outer", dest="outer_iters", type=int, default=None)
     p.add_argument("--gmres-tol", dest="gmres_tol", type=float, default=None)
-    p.add_argument("--gmres-restart", dest="gmres_restart", type=_positive_int, default=None)
-    p.add_argument("--gmres-maxiter", dest="gmres_max_iters", type=_positive_int, default=None)
+    p.add_argument("--gmres-restart", dest="gmres_restart", type=int, default=None)
+    p.add_argument("--gmres-maxiter", dest="gmres_max_iters", type=int, default=None)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("eval", help="print MSE and both PSNR variants")
@@ -320,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-band", help="write one band as PGM or CSV")
     p.add_argument("input")
-    p.add_argument("--band", type=_positive_int, required=True, help="1-based band index")
+    p.add_argument("--band", type=int, required=True, help="1-based band index")
     p.add_argument("--format", choices=("pgm", "csv"), default="pgm")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_export_band)

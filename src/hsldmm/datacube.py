@@ -172,8 +172,8 @@ def make_mask(dims: tuple[int, int, int], rate: float, seed: int) -> MaskSet:
 
 def add_gaussian_noise(cube: DataCube, sigma: float, seed: int) -> DataCube:
     """Add i.i.d. zero-mean Gaussian noise to every voxel, seed-deterministic."""
-    if sigma < 0:
-        raise ValueError(f"noise level must be non-negative, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"noise level must be finite and non-negative, got {sigma}")
     if sigma == 0:
         return DataCube(cube.values)
     rng = np.random.default_rng(seed)

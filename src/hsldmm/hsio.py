@@ -27,14 +27,12 @@ __all__ = [
 
 MAGIC = b"HSC1\n"
 PGM_MAXVAL = 65535
+# header dtype -> payload dtype
+_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype(np.uint8)}
 
 
 class FormatError(ValueError):
     """Malformed HSC or mask file."""
-
-
-def _header_line(m: int, n: int, B: int, dtype: str) -> bytes:
-    return f"m={m} n={n} B={B} dtype={dtype} order=bsq\n".encode("ascii")
 
 
 def _parse_header(blob: bytes, path: Path) -> tuple[int, int, int, str, int]:
@@ -67,46 +65,48 @@ def _parse_header(blob: bytes, path: Path) -> tuple[int, int, int, str, int]:
     return m, n, B, fields["dtype"], end + 1
 
 
+def _write(path, values: np.ndarray, dtype: str) -> None:
+    B, m, n = values.shape
+    header = f"m={m} n={n} B={B} dtype={dtype} order=bsq\n".encode("ascii")
+    payload = np.ascontiguousarray(values, dtype=_DTYPES[dtype]).tobytes()
+    Path(path).write_bytes(MAGIC + header + payload)
+
+
+def _read(path: Path, dtype: str, kind: str) -> np.ndarray:
+    """The (B, m, n) payload of an HSC file whose header names ``dtype``."""
+    blob = path.read_bytes()
+    m, n, B, got, off = _parse_header(blob, path)
+    if got != dtype:
+        raise FormatError(f"{path}: expected dtype={dtype} for a {kind}, got {got!r}")
+    count = m * n * B
+    size = count * _DTYPES[dtype].itemsize
+    if len(blob) - off != size:
+        raise FormatError(f"{path}: payload is {len(blob) - off} bytes, expected {size}")
+    return np.frombuffer(blob, dtype=_DTYPES[dtype], count=count, offset=off).reshape(B, m, n)
+
+
 def write_cube(path, cube: DataCube) -> None:
-    path = Path(path)
-    payload = np.ascontiguousarray(cube.values, dtype="<f4").tobytes()
-    path.write_bytes(MAGIC + _header_line(cube.m, cube.n, cube.B, "f32") + payload)
+    _write(path, cube.values, "f32")
 
 
 def read_cube(path) -> DataCube:
     path = Path(path)
-    blob = path.read_bytes()
-    m, n, B, dtype, off = _parse_header(blob, path)
-    if dtype != "f32":
-        raise FormatError(f"{path}: expected dtype=f32 for a cube, got {dtype!r}")
-    count = m * n * B
-    if len(blob) - off != count * 4:
-        raise FormatError(f"{path}: payload is {len(blob) - off} bytes, expected {count * 4}")
-    values = np.frombuffer(blob, dtype="<f4", count=count, offset=off)
+    values = _read(path, "f32", "cube")
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: payload holds non-finite values")
-    return DataCube(values.astype(np.float64).reshape(B, m, n))
+    return DataCube(values.astype(np.float64))
 
 
 def write_mask(path, masks: MaskSet) -> None:
-    path = Path(path)
-    payload = np.ascontiguousarray(masks.masks, dtype=np.uint8).tobytes()
-    path.write_bytes(MAGIC + _header_line(masks.m, masks.n, masks.B, "u8") + payload)
+    _write(path, masks.masks, "u8")
 
 
 def read_mask(path) -> MaskSet:
     path = Path(path)
-    blob = path.read_bytes()
-    m, n, B, dtype, off = _parse_header(blob, path)
-    if dtype != "u8":
-        raise FormatError(f"{path}: expected dtype=u8 for a mask, got {dtype!r}")
-    count = m * n * B
-    if len(blob) - off != count:
-        raise FormatError(f"{path}: payload is {len(blob) - off} bytes, expected {count}")
-    raw = np.frombuffer(blob, dtype=np.uint8, count=count, offset=off)
+    raw = _read(path, "u8", "mask")
     if raw.max(initial=0) > 1:
         raise FormatError(f"{path}: mask bytes must be 0 or 1")
-    return MaskSet(raw.reshape(B, m, n).astype(bool))
+    return MaskSet(raw.astype(bool))
 
 
 def export_band_pgm(path, cube: DataCube, t: int) -> None:

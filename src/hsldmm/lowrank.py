@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datacube import DataCube, MaskSet, _check_field_types
+from .solver import RunLog
 
 __all__ = ["ApgConfig", "svt", "apg_complete", "completion_objective"]
 
@@ -87,14 +88,14 @@ def _apg_stage(
     b_obs: np.ndarray,
     mu: float,
     cfg: ApgConfig,
-    trace: list | None,
+    kept: list,
 ) -> tuple[np.ndarray, float, bool]:
     # Monotone variant of FISTA (Beck & Teboulle 2009): keep the best
-    # objective seen so the energy trace never increases at fixed mu. A
-    # rejected step also restarts the momentum (O'Donoghue & Candes 2015):
-    # the next prox input is the kept iterate, a plain proximal gradient
-    # step. Convergence is judged on the prox sequence, which keeps moving
-    # even when the guard rejects a step.
+    # objective seen, so the values appended to ``kept`` per iteration never
+    # increase at fixed mu. A rejected step also restarts the momentum
+    # (O'Donoghue & Candes 2015): the next prox input is the kept iterate, a
+    # plain proximal gradient step. Convergence is judged on the prox
+    # sequence, which keeps moving even when the guard rejects a step.
     r = X.take(idx) - b_obs
     F_X = 0.5 * float(r @ r) + mu * nuc_X
     Y, X_prev, Z_prev = X.copy(), X, X
@@ -115,8 +116,7 @@ def _apg_stage(
         else:
             t_new = 1.0
             np.copyto(Y, X_prev)
-        if trace is not None:
-            trace.append((mu, F_X))
+        kept.append(F_X)
         t, Z_prev, norm_prev = t_new, Z, np.linalg.norm(Z)
         if step < cfg.tol:
             return X_prev, nuc_X, True
@@ -127,15 +127,16 @@ def apg_complete(
     b: DataCube,
     masks: MaskSet,
     cfg: ApgConfig = ApgConfig(),
-    trace: list | None = None,
+    log: RunLog | None = None,
 ) -> DataCube:
     """Fill a partially observed cube with a low-rank unfolding estimate.
 
     Minimizes 0.5 * ||restrict(X - b)||_F^2 + mu_target * ||X||_* over the
     (m*n) x B unfolding, warm-starting through a decreasing mu schedule.
-    ``trace``, when given, collects (mu, objective) per inner iteration.
-    Warns and returns the best iterate if a stage hits max_iters without
-    meeting the tolerance.
+    ``log``, when given, gets one record per stage in ``log.stages``: its
+    number in run order, mu, iterations, whether it converged and the kept
+    objective of each iteration. Warns and returns the best iterate if a
+    stage hits max_iters without meeting the tolerance.
     """
     if b.dims != masks.dims:
         raise ValueError(f"cube dims {b.dims} do not match mask dims {masks.dims}")
@@ -153,7 +154,11 @@ def apg_complete(
     b_obs = data.take(idx)
     for stage in range(cfg.n_stages - 1, -1, -1):
         mu = mu_target / cfg.mu_decay**stage
-        X, nuc, converged = _apg_stage(X, nuc, idx, b_obs, mu, cfg, trace)
+        kept: list = []
+        X, nuc, converged = _apg_stage(X, nuc, idx, b_obs, mu, cfg, kept)
+        if log is not None:
+            log.stages.append({"stage": cfg.n_stages - stage, "mu": mu, "iters": len(kept),
+                               "converged": converged, "objectives": kept})
         if not converged:
             warnings.warn(
                 f"completion stage at mu={mu:.3e} stopped at max_iters={cfg.max_iters}",

@@ -49,8 +49,8 @@ class SyntheticSpec:
             raise ValueError(f"dimensions must be positive, got {(self.m, self.n, self.B)}")
         if not 1 <= self.rank <= min(self.B, 8):
             raise ValueError(f"rank must be in [1, min(B, 8)] = [1, {min(self.B, 8)}], got {self.rank}")
-        if self.smoothness < 0:
-            raise ValueError(f"smoothness must be non-negative, got {self.smoothness}")
+        if not 0.0 <= self.smoothness < math.inf:
+            raise ValueError(f"smoothness must be finite and non-negative, got {self.smoothness}")
 
 
 def synth_cube(spec: SyntheticSpec) -> DataCube:

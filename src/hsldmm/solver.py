@@ -93,15 +93,20 @@ class BandSystem:
 
 @dataclass
 class RunLog:
-    """Optional collector for per-band and per-iteration records: the run's
-    whole record besides its ``RuntimeWarning``s. ``summary`` flattens it
-    into manifest entries."""
+    """Optional collector for both stages of a run: one record per
+    completion stage of ``apg_complete``, then per band solve and per outer
+    iteration of ``ldmm_reconstruct``. ``summary`` flattens it into
+    manifest entries."""
 
+    stages: list = field(default_factory=list)
     bands: list = field(default_factory=list)
     iterations: list = field(default_factory=list)
 
     def summary(self) -> dict:
-        out: dict = {}
+        out: dict = {f"apg_stage{r['stage']}_iters": r["iters"] for r in self.stages}
+        if self.stages:
+            out["apg_iters"] = sum(r["iters"] for r in self.stages)
+            out["apg_nonconverged"] = sum(not r["converged"] for r in self.stages)
         for rec in self.iterations:
             it = rec["iteration"]
             for key, val in rec.items():

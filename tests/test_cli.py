@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import hsldmm
-from hsldmm import ApgConfig, DataCube, psnr
+from hsldmm import ApgConfig, DataCube, lowrank, make_mask, psnr
 from hsldmm.cli import format_manifest, main, parse_manifest
-from hsldmm.hsio import read_cube, read_mask, write_cube
+from hsldmm.hsio import read_cube, read_mask, write_cube, write_mask
 
 
 def run(args, capsys):
@@ -175,10 +175,54 @@ def test_reconstruct_manifest_counts_apg_iterations(tmp_path, capsys):
         manifests[init] = parse_manifest(rec.with_suffix(".manifest").read_text())
     apg = manifests["apg"]
     stage_keys = [f"apg_stage{i}_iters" for i in range(1, ApgConfig().n_stages + 1)]
-    assert {key for key in apg if key.startswith("apg_")} == {"apg_iters", *stage_keys}
+    assert {key for key in apg if key.startswith("apg_")} == {
+        "apg_iters", "apg_nonconverged", *stage_keys
+    }
     assert all(apg[key] >= 1 for key in stage_keys)
     assert sum(apg[key] for key in stage_keys) == apg["apg_iters"]
     assert not any(key.startswith("apg_") for key in manifests["zero"])
+
+
+def test_reconstruct_counts_every_apg_stage_on_all_zero_samples(tmp_path, capsys):
+    # mu_target is 0 here, so all five stages share one mu; each still
+    # converges in one iteration and keeps its own count
+    obs, mask, rec = tmp_path / "obs.hsc", tmp_path / "mask.hsc", tmp_path / "rec.hsc"
+    write_cube(obs, DataCube(np.zeros((4, 8, 8))))
+    write_mask(mask, make_mask((8, 8, 4), 0.25, 3))
+    code, _, _ = run(
+        ["reconstruct", str(obs), str(mask), "-o", str(rec), "--init", "apg",
+         "--outer", "1", "--k", "4", "--r-sigma", "2"], capsys)
+    assert code == 0
+    manifest = parse_manifest(rec.with_suffix(".manifest").read_text())
+    assert all(manifest[f"apg_stage{i}_iters"] == 1 for i in range(1, 6))
+    assert manifest["apg_iters"] == 5 and manifest["apg_nonconverged"] == 0
+
+
+def test_reconstruct_failed_apg_keeps_the_finished_stages(tmp_path, capsys, monkeypatch):
+    gt, obs, mask = corrupted(tmp_path, capsys)
+    stages = []
+    apg_stage, svt = lowrank._apg_stage, lowrank.svt
+
+    def counting_stage(*args):
+        stages.append(len(stages) + 1)
+        return apg_stage(*args)
+
+    def failing_svt(M, tau):
+        if stages[-1] == 3:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return svt(M, tau)
+
+    monkeypatch.setattr(lowrank, "_apg_stage", counting_stage)
+    monkeypatch.setattr(lowrank, "svt", failing_svt)
+    rec = tmp_path / "rec.hsc"
+    code, _, err = run(["reconstruct", str(obs), str(mask), "-o", str(rec)], capsys)
+    assert code == 3 and "numerical failure" in err
+    assert not rec.exists()
+    manifest = parse_manifest(rec.with_suffix(".manifest").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["apg_stage1_iters"] >= 1 and manifest["apg_stage2_iters"] >= 1
+    assert "apg_stage3_iters" not in manifest
+    assert manifest["apg_iters"] == manifest["apg_stage1_iters"] + manifest["apg_stage2_iters"]
 
 
 def test_reconstruct_patch_flag_selects_geometry(tmp_path, capsys):

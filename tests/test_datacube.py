@@ -118,6 +118,12 @@ def test_noise_deterministic_and_validated():
         add_gaussian_noise(cube, -0.1, 0)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_noise_rejects_non_finite_sigma_naming_it(sigma):
+    with pytest.raises(ValueError, match=f"noise level .*got {sigma}"):
+        add_gaussian_noise(random_cube((1, 4, 4), 6), sigma, 0)
+
+
 # --- apply_mask --------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ from hsldmm import (
     psnr,
     synth_cube,
 )
-from hsldmm import lowrank
+from hsldmm import RunLog, lowrank
 from hsldmm.lowrank import completion_objective, svt
 
 EPS = np.finfo(np.float64).eps
@@ -156,16 +156,16 @@ def test_many_band_completion_regression():
     # completion genuinely reconstructs the cube
     cube = synth_cube(SyntheticSpec(16, 16, 96, 2, smoothness=2.0, seed=21))
     masks = make_mask(cube.dims, 0.10, 22)
-    trace: list = []
+    log = RunLog()
     out = apg_complete(apply_mask(cube, masks), masks,
-                       ApgConfig(n_stages=12, max_iters=400, tol=1e-6), trace)
+                       ApgConfig(n_stages=12, max_iters=400, tol=1e-6), log)
     got = psnr(out, cube, "standard").psnr_standard
     assert got > 30.0
     assert abs(got - 38.370174) <= 0.5
     # The momentum restart on a rejected step took this instance from 1411
     # iterations to 952. BLAS kernels round differently, which can move
     # the step test's stop by a few iterations; 5% still fails without it.
-    assert abs(len(trace) - 952) <= 48
+    assert abs(sum(rec["iters"] for rec in log.stages) - 952) <= 48
 
 
 def masked(rng, values, rate):
@@ -175,6 +175,11 @@ def masked(rng, values, rate):
     masks[:, rng.integers(m), rng.integers(n)] = True
     masks = MaskSet(masks)
     return apply_mask(DataCube(values), masks), masks
+
+
+def kept_objectives(log):
+    """(mu, kept objective) of every APG iteration, in run order."""
+    return [(rec["mu"], f) for rec in log.stages for f in rec["objectives"]]
 
 
 @settings(max_examples=20)
@@ -202,15 +207,15 @@ def test_guard_compares_true_objectives(m, n, B, rank, scale, offset, rate, seed
         prox.append(Z)
         return Z, shrunk
 
-    trace: list = []
+    log = RunLog()
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         mp.setattr(lowrank, "svt", recording)
-        apg_complete(b, masks, ApgConfig(n_stages=3, max_iters=40), trace)
+        apg_complete(b, masks, ApgConfig(n_stages=3, max_iters=40), log)
     obs = masks.masks.reshape(B, -1).T
     data = b.unfold()
     accepted = 0
-    for (mu, f), Z in zip(trace, prox, strict=True):
+    for (mu, f), Z in zip(kept_objectives(log), prox, strict=True):
         resid = (Z - data)[obs]
         want = 0.5 * float(resid @ resid) + mu * float(np.linalg.svd(Z, compute_uv=False).sum())
         if abs(f - want) <= 1e-12 * abs(want):
@@ -236,15 +241,15 @@ def test_rejected_step_restarts_the_momentum(monkeypatch):
         return Z, shrunk
 
     monkeypatch.setattr(lowrank, "svt", recording)
-    trace: list = []
-    apg_complete(b, masks, ApgConfig(n_stages=1, max_iters=300), trace)
+    log = RunLog()
+    apg_complete(b, masks, ApgConfig(n_stages=1, max_iters=300), log)
     obs = masks.masks.reshape(8, -1).T
     data = np.where(obs, b.unfold(), 0.0)
     idx = np.flatnonzero(obs)
     b_obs = data.take(idx)
     kept, after_rejection = data, False
     restarts_checked = fresh_checked = 0
-    for i, ((Z, shrunk), (mu, f)) in enumerate(zip(outputs, trace, strict=True)):
+    for i, ((Z, shrunk), (mu, f)) in enumerate(zip(outputs, kept_objectives(log), strict=True)):
         last = i + 1 == len(inputs)
         # the guard's own arithmetic: an accepted step keeps this value
         r = Z.take(idx) - b_obs
@@ -275,9 +280,10 @@ def test_one_gram_eigendecomposition_per_iteration(monkeypatch):
         return thin_svd(M)
 
     monkeypatch.setattr(lowrank, "_thin_svd", counting)
-    trace: list = []
-    apg_complete(apply_mask(cube, masks), masks, ApgConfig(n_stages=3, max_iters=50), trace)
-    assert trace and len(calls) <= len(trace) + 2
+    log = RunLog()
+    apg_complete(apply_mask(cube, masks), masks, ApgConfig(n_stages=3, max_iters=50), log)
+    iters = log.summary()["apg_iters"]
+    assert iters and len(calls) <= iters + 2
 
 
 @settings(max_examples=30)
@@ -302,30 +308,26 @@ def test_apg_degenerate_inputs(case, seed):
     b, masks = masked(rng, values, rate)
     outs = []
     for _ in range(2):
-        trace: list = []
+        log = RunLog()
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # max_iters reached
-            outs.append(apg_complete(b, masks, ApgConfig(), trace).values)
+            outs.append(apg_complete(b, masks, ApgConfig(), log).values)
         assert np.all(np.isfinite(outs[-1]))
-        by_mu: dict = {}
-        for mu, f in trace:
-            by_mu.setdefault(mu, []).append(f)
-        for fs in by_mu.values():
-            assert np.all(np.diff(fs) <= 0.0)
+        assert [rec["stage"] for rec in log.stages] == [1, 2, 3, 4, 5]
+        for rec in log.stages:
+            assert np.all(np.diff(rec["objectives"]) <= 0.0)
     assert np.array_equal(outs[0], outs[1])
 
 
 def test_objective_monotone_within_stage():
     cube = synth_cube(SyntheticSpec(12, 12, 6, 2, smoothness=2.0, seed=6))
     masks = make_mask(cube.dims, 0.4, 7)
-    trace: list = []
-    apg_complete(apply_mask(cube, masks), masks, ApgConfig(n_stages=4, max_iters=80), trace)
-    by_mu: dict = {}
-    for mu, f in trace:
-        by_mu.setdefault(mu, []).append(f)
-    assert len(by_mu) == 4
-    for values in by_mu.values():
-        arr = np.array(values)
+    log = RunLog()
+    apg_complete(apply_mask(cube, masks), masks, ApgConfig(n_stages=4, max_iters=80), log)
+    assert len(log.stages) == 4
+    for rec in log.stages:
+        assert rec["iters"] == len(rec["objectives"])
+        arr = np.array(rec["objectives"])
         assert np.all(np.diff(arr) <= 1e-10 * np.maximum(np.abs(arr[:-1]), 1.0))
 
 
@@ -354,6 +356,19 @@ def test_empty_band_rejected():
 
     with pytest.raises(ValueError):
         apg_complete(cube, MaskSet(dead), ApgConfig())
+
+
+def test_nonconverged_stages_match_the_warnings():
+    cube = synth_cube(SyntheticSpec(10, 10, 4, 2, smoothness=1.0, seed=10))
+    masks = make_mask(cube.dims, 0.3, 11)
+    log = RunLog()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        apg_complete(apply_mask(cube, masks), masks, ApgConfig(max_iters=40, n_stages=4), log)
+    warned = sum(str(w.message).startswith("completion stage") for w in caught)
+    assert 1 <= warned < len(log.stages)  # some stages converge, some do not
+    assert log.summary()["apg_nonconverged"] == warned
+    assert all(rec["iters"] == 40 for rec in log.stages if not rec["converged"])
 
 
 def test_nonconvergence_warns_and_returns():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -44,6 +46,12 @@ def test_synth_spec_validation():
         SyntheticSpec(8, 8, 4, 5)  # rank > B
     with pytest.raises(ValueError):
         SyntheticSpec(8, 8, 16, 9)  # rank > 8
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_synth_spec_rejects_bad_smoothness_naming_it(value):
+    with pytest.raises(ValueError, match=f"smoothness .*got {value}"):
+        SyntheticSpec(8, 8, 4, 2, smoothness=value)
 
 
 # --- dense_solve ------------------------------------------------------------
