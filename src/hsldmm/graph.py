@@ -4,7 +4,7 @@ shift-summed matrix shared by every spectral band."""
 from __future__ import annotations
 
 import math
-import queue
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,14 +132,12 @@ def knn_exact(patches: np.ndarray, k: int) -> NeighborTable:
     the squared norms of ``Q`` summed in float64, and its rows are settled
     as in ``_smallest_k``.
 
-    The blocks run on one worker thread per usable CPU, with BLAS pinned to
-    one thread and each worker on its own scratch, which this call
-    allocates; ``_BLOCK_BYTES`` and ``_CHUNK_BYTES`` are shared out among
-    the workers, so the memory does not grow with their number. Without the
-    pin there is one worker (see ``_workers``). The screen's GEMM is
-    ``np.dot``, which releases the interpreter lock during BLAS, where ``@``
-    keeps it; the settle's Python-level steps hold it. The table does not
-    depend on the number of workers or the block size.
+    The blocks are dealt to one process per usable CPU, with BLAS pinned to
+    one thread (see ``_workers``). Each process fills its own copy of the
+    scratch this call allocates; ``_BLOCK_BYTES`` and ``_CHUNK_BYTES`` are
+    shared out among the processes, so the memory does not grow with their
+    number. The table does not depend on the number of processes or the
+    block size.
 
     Certificate, in scaled units. Let u = 2**-24 and t = 2**-126 be float32's
     unit roundoff and smallest normal, u64 and t64 float64's, and
@@ -161,7 +159,7 @@ def knn_exact(patches: np.ndarray, k: int) -> NeighborTable:
 
 
 def _knn_exact(patches: np.ndarray, k: int, workers: int) -> NeighborTable:
-    """``knn_exact`` on at most ``workers`` threads."""
+    """``knn_exact`` on at most ``workers`` processes."""
     P = np.ascontiguousarray(patches, dtype=np.float64)
     if P.ndim != 2:
         raise ValueError(f"patch matrix must be 2-d, got shape {P.shape}")
@@ -189,34 +187,29 @@ def _knn_exact(patches: np.ndarray, k: int, workers: int) -> NeighborTable:
     starts = range(0, N, block_rows)
     workers = min(workers, len(starts))
     budget = _CHUNK_BYTES // workers
-    free = queue.SimpleQueue()  # one scratch set per worker, taken for one block at a time
-    for _ in range(workers):
-        # a quarter block for the partitioned copy was as fast as a whole one
-        # and holds less memory through the settle
-        part = np.empty((max(1, block_rows // 4), N), np.float32)
-        free.put((np.empty((block_rows, N), np.float32), part, np.empty((block_rows, N), bool)))
+    screen = np.empty((block_rows, N), np.float32)
+    in_band = np.empty((block_rows, N), bool)
+    # a quarter block for the partitioned copy was as fast as a whole one
+    # and holds less memory through the settle
+    part = np.empty((max(1, block_rows // 4), N), np.float32)
 
     def block(i):
         start = starts[i]
         stop = min(start + block_rows, N)
-        scratch = free.get()
-        try:
-            D, part, band = scratch
-            D, band = D[: stop - start], band[: stop - start]
-            np.dot(Q[start:stop], Q.T, out=D)
-            D *= -2.0
-            D += n[start:stop, None]
-            D += n
-            rows = np.arange(start, stop)
-            return _smallest_k(D, k, P, rows, tol[start:stop], zero, part, band, budget)
-        finally:
-            free.put(scratch)
+        D, band = screen[: stop - start], in_band[: stop - start]
+        np.dot(Q[start:stop], Q.T, out=D)
+        D *= -2.0
+        D += n[start:stop, None]
+        D += n
+        rows = np.arange(start, stop)
+        return _smallest_k(D, k, P, rows, tol[start:stop], zero, part, band, budget)
 
     idx_out = np.empty((N, k), dtype=np.int64)
     d2_out = np.empty((N, k), dtype=np.float64)
-    for start, (idx, d2) in zip(starts, _in_order(block, len(starts), workers), strict=True):
-        idx_out[start : start + block_rows] = idx
-        d2_out[start : start + block_rows] = d2
+    with closing(_in_order(block, len(starts), workers, "kNN row block")) as blocks:
+        for start, (idx, d2) in zip(starts, blocks, strict=True):
+            idx_out[start : start + block_rows] = idx
+            d2_out[start : start + block_rows] = d2
     return NeighborTable(indices=idx_out, sq_dists=d2_out)
 
 

@@ -3,7 +3,7 @@
 Everything here is written independently of the production modules it
 cross-checks: naive kNN and weights, a dense shift-sum, a dense direct
 solve, and central-difference gradients. Deliberately slow, size-capped,
-and single-threaded (the one check of threaded band solves aside); shipped
+and serial (the one check of forked kNN blocks and band solves aside); shipped
 in the library so installations can verify themselves via the
 ``selfcheck`` CLI subcommand.
 """
@@ -267,16 +267,16 @@ def _check_svt() -> bool:
                 and np.allclose(shrunk, [1.0, 0.0], atol=1e-12))
 
 
-def _check_band_threads() -> bool:
+def _check_band_workers() -> bool:
     from ._workers import _in_order
     from .datacube import make_mask
     from .graph import _knn_exact, assemble_wtilde, build_bar_w, local_scale
     from .patch import PatchGeometry, extract_patches
     from .solver import SolverConfig, _band_graph, _gmres, assemble_band_system
 
-    # one outer iteration's kNN table (four row blocks on two workers) and
-    # band solves on one and on two workers; bitwise equality needs the
-    # installed BLAS to answer concurrent callers as it answers one
+    # one outer iteration's kNN table (four row blocks) and band solves on
+    # one and on two processes; bitwise equality needs the installed BLAS to
+    # answer a forked child as it answers the caller
     cube = synth_cube(SyntheticSpec(32, 32, 6, 2, smoothness=1.0, seed=4))
     geom = PatchGeometry(2, 2, 32, 32)
     patches = extract_patches(cube, geom)
@@ -289,10 +289,10 @@ def _check_band_threads() -> bool:
         system = assemble_band_system(graph, masks.band(t), cube.band(t), 50.0, 0.2, band=t)
         return _gmres(system, np.zeros(1024), cfg)[0]
 
-    serial, threaded = (list(_in_order(solve, cube.B, workers)) for workers in (1, 2))
+    serial, forked = (list(_in_order(solve, cube.B, workers, "band")) for workers in (1, 2))
     return (np.array_equal(table.indices, table2.indices)
             and np.array_equal(table.sq_dists, table2.sq_dists)
-            and all(np.array_equal(x, y) for x, y in zip(serial, threaded)))
+            and all(np.array_equal(x, y) for x, y in zip(serial, forked)))
 
 
 def selfcheck(verbose: bool = True) -> bool:
@@ -304,13 +304,15 @@ def selfcheck(verbose: bool = True) -> bool:
         ("energy_stationarity", _check_fd_stationarity),
         ("hsc_roundtrip", _check_roundtrip),
         ("svt_closed_form", _check_svt),
-        ("band_threads", _check_band_threads),
+        ("band_workers", _check_band_workers),
     ]
     if verbose:
-        from ._workers import _pin
+        from ._workers import _forks, _pin
 
-        state = "active" if _pin else "missing, so kNN blocks and bands run on one thread"
-        print(f"BLAS pin for worker threads (openblas_set_num_threads_local): {state}")
+        state = "active" if _pin else "missing"
+        where = "forked worker processes" if _forks() else "the caller alone"
+        print(f"BLAS pin (openblas_set_num_threads_local): {state}; "
+              f"kNN blocks and bands run on {where}")
     ok = True
     for name, fn in checks:
         passed = fn()

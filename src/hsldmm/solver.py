@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from ._workers import _in_order, _pool_size
+from ._workers import NumericalError, _in_order, _one_blas_thread, _pool_size
 from .datacube import DataCube, MaskSet, _check_field_types, psnr
 from .graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
 from .patch import PatchGeometry, extract_patches
@@ -31,10 +31,6 @@ __all__ = [
 
 # entries of the graph per chunk of the band fill's neighbour gather
 _GATHER_CHUNK = 1 << 16
-
-class NumericalError(RuntimeError):
-    """Solver breakdown: singular assembly or a non-finite iterate."""
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -216,10 +212,7 @@ def _gmres(
     true residual ||rhs - A x|| <= tol ||rhs|| decides convergence, and
     ``ptol`` is re-aimed after every cycle (scipy gh-8400). The Arnoldi
     basis uses two passes of classical Gram-Schmidt; ``cfg.gmres_max_iters``
-    caps the total number of inner iterations exactly. Its products and
-    norms are ``np.dot`` into preallocated buffers, which release the
-    interpreter lock during BLAS (``@`` keeps it), so that band solves on
-    worker threads overlap.
+    caps the total number of inner iterations exactly.
 
     Returns (solution, inner iterations, final preconditioned relative
     residual ||D^-1 (rhs - A x)|| / ||D^-1 rhs||, converged flag).
@@ -362,6 +355,7 @@ def wnll_energy(
     return total + lam * float(misfit @ misfit)
 
 
+@_one_blas_thread()
 def ldmm_reconstruct(
     b: DataCube,
     masks: MaskSet,
@@ -377,11 +371,13 @@ def ldmm_reconstruct(
     kNN similarity graph on the spatial grid, shift-sums it, and then solves
     the per-band systems by warm-started GMRES. All bands in an iteration
     share the same graph; that sharing is what keeps the cost flat in the
-    number of bands, and it lets the bands be solved on one worker per
+    number of bands, and it lets the bands be dealt to one process per
     usable CPU, as the kNN row blocks are (see ``_workers``). Results, log
     records, warnings and errors are taken in band order, so the output
-    does not depend on the number of workers. ``ref`` adds
-    per-iteration PSNR to ``log`` and is not read without it.
+    does not depend on the number of processes. OpenBLAS stays on one
+    thread for the whole call, and the caller's count comes back at its
+    end. ``ref`` adds per-iteration PSNR to ``log`` and is not read
+    without it.
     """
     if b.dims != masks.dims:
         raise ValueError(f"cube dims {b.dims} do not match mask dims {masks.dims}")
@@ -422,7 +418,7 @@ def ldmm_reconstruct(
                 raise NumericalError(f"iteration {it}: {exc}") from exc
 
         unconverged: dict[int, float] = {}
-        with closing(_in_order(solve, b.B, min(b.B, _pool_size()))) as results:
+        with closing(_in_order(solve, b.B, _pool_size(), f"iteration {it}, band")) as results:
             for t, (x, iters, resid, converged) in enumerate(results):
                 if not np.all(np.isfinite(x)):
                     raise NumericalError(f"non-finite band solution at iteration {it}, band {t}")

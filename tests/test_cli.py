@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import hsldmm
-from hsldmm import ApgConfig, DataCube, lowrank, make_mask, psnr
+from hsldmm import ApgConfig, DataCube, _workers, lowrank, make_mask, psnr, solver
 from hsldmm.cli import format_manifest, main, parse_manifest
 from hsldmm.hsio import read_cube, read_mask, write_cube, write_mask
 
@@ -223,6 +224,34 @@ def test_reconstruct_failed_apg_keeps_the_finished_stages(tmp_path, capsys, monk
     assert manifest["apg_stage1_iters"] >= 1 and manifest["apg_stage2_iters"] >= 1
     assert "apg_stage3_iters" not in manifest
     assert manifest["apg_iters"] == manifest["apg_stage1_iters"] + manifest["apg_stage2_iters"]
+
+
+def test_reconstruct_killed_band_worker_exits_3_with_a_failed_manifest(
+    tmp_path, capsys, monkeypatch
+):
+    gt, obs, mask = corrupted(tmp_path, capsys)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 2)
+    # workers need the BLAS pin; a numpy without it gets a stand-in
+    monkeypatch.setattr(_workers, "_pin", _workers._pin or (lambda threads: 1))
+    caller, gmres = os.getpid(), solver._gmres
+
+    def dying_gmres(system, x0, cfg):
+        if system.band == 3 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return gmres(system, x0, cfg)
+
+    monkeypatch.setattr(solver, "_gmres", dying_gmres)
+    rec = tmp_path / "rec.hsc"
+    code, _, err = run(
+        ["reconstruct", str(obs), str(mask), "-o", str(rec), "--init", "zero",
+         "--outer", "1", "--k", "10", "--r-sigma", "5"], capsys)
+    assert code == 3
+    assert "numerical failure: iteration 1, band 3: its worker process was killed by SIGKILL" in err
+    assert not rec.exists()
+    manifest = parse_manifest(rec.with_suffix(".manifest").read_text())
+    assert manifest["status"] == "failed"
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_reconstruct_patch_flag_selects_geometry(tmp_path, capsys):

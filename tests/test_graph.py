@@ -1,6 +1,7 @@
+import json
 import math
-import sys
-import threading
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from hsldmm import (
     DataCube,
+    NumericalError,
     PatchGeometry,
     assemble_wtilde,
     build_bar_w,
@@ -155,7 +157,7 @@ def test_knn_workers_are_bitwise_oracle(n, d, offset, zero_frac, block_rows, see
     pts = offset + 1e-2 * rng.random((n, d))
     pts[rng.random(n) < zero_frac] = 0.0
     idx, d2 = naive_knn(pts, k)
-    for workers in (1, 3):
+    for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             # block_rows rows per worker's block; settle chunks of a few rows
             mp.setattr(graph, "_BLOCK_BYTES", 4 * n * workers * block_rows)
@@ -177,72 +179,111 @@ def fake_pin(monkeypatch, count=4):
     return state
 
 
-def traced_select(monkeypatch, state=None, fail_from=None):
-    """Wrap graph._smallest_k: record the threads that run it and the BLAS
-    thread count each call sees; divide by zero on the block that holds row
-    ``fail_from``."""
-    seen = []
+def traced_select(monkeypatch, log, state=None, fail_from=None):
+    """Wrap graph._smallest_k: append to the file ``log`` one line per call
+    with the id of the process that runs it, the BLAS thread count it sees
+    and its first and last row (a forked child's memory does not reach the
+    caller); divide by zero on the block that holds row ``fail_from``."""
     real = graph._smallest_k
 
     def select(D, k, P, rows, *args):
-        seen.append((threading.get_ident(), state and state["threads"]))
+        record = [os.getpid(), state and state["threads"], int(rows[0]), int(rows[-1])]
+        with open(log, "a") as f:
+            f.write(json.dumps(record) + "\n")
         if fail_from is not None and rows[0] <= fail_from <= rows[-1]:
             np.float64(1.0) / np.float64(0.0)
         return real(D, k, P, rows, *args)
 
     monkeypatch.setattr(graph, "_smallest_k", select)
-    return seen
 
 
-def test_knn_runs_blocks_on_pinned_workers_and_restores_the_count(monkeypatch):
+def select_calls(log):
+    """The (process id, BLAS thread count, first row, last row) of each call
+    that ``traced_select`` logged."""
+    return [tuple(json.loads(line)) for line in log.read_text().splitlines()]
+
+
+def test_knn_runs_blocks_on_pinned_workers_and_restores_the_count(monkeypatch, tmp_path):
     pts = cloud(120, 4, 5)
     idx, d2 = naive_knn(pts, 6)
     state = fake_pin(monkeypatch)
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(graph, "_BLOCK_BYTES", 4 * 120 * 3 * 8)  # 15 blocks of 8 rows
-    seen = traced_select(monkeypatch, state)
-    # switch threads often, so that two blocks sharing scratch would show
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        table = knn_exact(pts, 6)
-    finally:
-        sys.setswitchinterval(interval)
+    log = tmp_path / "select.log"
+    traced_select(monkeypatch, log, state)
+    table = knn_exact(pts, 6)
+    seen = select_calls(log)
     assert np.array_equal(table.indices, idx)
     assert np.array_equal(table.sq_dists, d2)
-    assert len(seen) == 15 and {threads for _, threads in seen} == {1}
-    assert threading.get_ident() not in {ident for ident, _ in seen}
+    assert len(seen) == 15 and {threads for _, threads, _, _ in seen} == {1}
+    # block i ran in process i mod 3: the caller and two forked children
+    pid_of = {first // 8: pid for pid, _, first, _ in seen}
+    assert len(set(pid_of.values())) == 3
+    assert all(pid_of[i] == pid_of[i % 3] for i in range(15))
+    assert pid_of[0] == os.getpid()
     assert state["threads"] == 4  # the caller's count is back
 
 
-def test_knn_without_the_pin_runs_on_one_worker(monkeypatch):
+def test_knn_without_the_pin_runs_on_one_worker(monkeypatch, tmp_path):
     pts = cloud(120, 4, 6)
     monkeypatch.setattr(graph, "_BLOCK_BYTES", 4 * 120 * 8)
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
     pinned = knn_exact(pts, 6)
     monkeypatch.setattr(_workers, "_pin", None)  # numpy without the symbol
     assert _workers._pool_size() == 1
-    seen = traced_select(monkeypatch)
+    log = tmp_path / "select.log"
+    traced_select(monkeypatch, log)
     table = knn_exact(pts, 6)
-    assert {ident for ident, _ in seen} == {threading.get_ident()}
+    assert {pid for pid, _, _, _ in select_calls(log)} == {os.getpid()}
     assert np.array_equal(table.indices, pinned.indices)
     assert np.array_equal(table.sq_dists, pinned.sq_dists)
 
 
-def test_knn_workers_keep_the_callers_errstate(monkeypatch):
+def test_loops_without_fork_run_on_the_caller(monkeypatch):
+    fake_pin(monkeypatch)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
+    monkeypatch.delattr(os, "fork")  # a platform without it
+    assert _workers._pool_size() == 1
+    calls = list(_workers._in_order(lambda i: (i, os.getpid()), 5, 3, "call"))
+    assert calls == [(i, os.getpid()) for i in range(5)]
+
+
+def test_knn_workers_keep_the_callers_errstate(monkeypatch, tmp_path):
     fake_pin(monkeypatch)
     monkeypatch.setattr(graph, "_BLOCK_BYTES", 4 * 120 * 8)
-    seen = traced_select(monkeypatch, fail_from=100)
+    log = tmp_path / "select.log"
+    traced_select(monkeypatch, log, fail_from=100)
     pts = cloud(120, 4, 7)
     found = []
     for cpus in (1, 3):
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
-        seen.clear()
+        log.write_text("")
         with np.errstate(all="raise"), pytest.raises(FloatingPointError) as exc:
             knn_exact(pts, 6)
         found.append(str(exc.value))
-        assert (threading.get_ident() in {ident for ident, _ in seen}) == (cpus == 1)
+        # on three processes the failing block (rows 100-101, block 50) runs in a child
+        failing = [pid for pid, _, first, last in select_calls(log) if first <= 100 <= last]
+        assert (failing == [os.getpid()]) == (cpus == 1)
     assert found[0] == found[1]
+
+
+def test_knn_worker_killed_by_a_signal_names_the_block(monkeypatch):
+    fake_pin(monkeypatch)
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(graph, "_BLOCK_BYTES", 4 * 120 * 3 * 8)  # 15 blocks of 8 rows
+    caller, real = os.getpid(), graph._smallest_k
+
+    def select(D, k, P, rows, *args):
+        if rows[0] == 8 and os.getpid() != caller:  # block 1, dealt to a child
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(D, k, P, rows, *args)
+
+    monkeypatch.setattr(graph, "_smallest_k", select)
+    with pytest.raises(NumericalError) as exc:
+        knn_exact(cloud(120, 4, 8), 6)
+    assert str(exc.value) == "kNN row block 1: its worker process was killed by SIGKILL"
+    with pytest.raises(ChildProcessError):  # every child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_knn_duplicate_points_keep_self_first():

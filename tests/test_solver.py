@@ -1,7 +1,10 @@
 import dataclasses
 import math
-import sys
+import os
+import signal
+import tempfile
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hsldmm.graph as graph_mod
 import hsldmm.solver as solver_mod
 from hsldmm import _workers
 from hsldmm import (
@@ -603,18 +607,22 @@ def test_ldmm_nan_iterate_aborts(monkeypatch):
         ldmm_reconstruct(b, masks, SolverConfig(k=6, r_sigma=3, outer_iters=1), b)
 
 
-def reconstruct_small(monkeypatch, threaded, cfg, gmres=None, log=None):
+def reconstruct_small(monkeypatch, tmp_path, parallel, cfg, gmres=None, log=None):
     """One reconstruction of an 8x8x5 cube, its bands solved on the calling
-    thread or on three threads; returns the output, the log, the
-    RuntimeWarning texts and the ids of the threads that ran GMRES."""
-    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3 if threaded else 1)
+    process alone or dealt to three processes; returns the output, the log,
+    the RuntimeWarning texts and the (process id, band) of each GMRES call,
+    which go through a file because a forked child's memory does not reach
+    the caller."""
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3 if parallel else 1)
     # workers need the BLAS pin; a numpy without it gets a stand-in
     monkeypatch.setattr(_workers, "_pin", _workers._pin or (lambda threads: 1))
     real = gmres or _gmres
-    threads = set()
+    fd, trace = tempfile.mkstemp(dir=tmp_path)
+    os.close(fd)
 
     def traced_gmres(system, x0, cfg):
-        threads.add(threading.get_ident())
+        with open(trace, "a") as f:
+            f.write(f"{os.getpid()} {system.band}\n")
         return real(system, x0, cfg)
 
     monkeypatch.setattr(solver_mod, "_gmres", traced_gmres)
@@ -622,26 +630,29 @@ def reconstruct_small(monkeypatch, threaded, cfg, gmres=None, log=None):
     masks = make_mask(cube.dims, 0.3, 32)
     b = apply_mask(cube, masks)
     log = RunLog() if log is None else log
-    # switch threads often, so that a read of a band before its turn shows
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = ldmm_reconstruct(b, masks, cfg, b, log=log)
-    finally:
-        sys.setswitchinterval(interval)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = ldmm_reconstruct(b, masks, cfg, b, log=log)
+    with open(trace) as f:
+        calls = [tuple(map(int, line.split())) for line in f]
     msgs = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    return out, log, msgs, threads
+    return out, log, msgs, calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("budget", [500, 1])
-def test_ldmm_threaded_bands_match_serial(monkeypatch, budget):
+def test_ldmm_threaded_bands_match_serial(monkeypatch, tmp_path, budget):
     cfg = SolverConfig(k=8, r_sigma=4, outer_iters=2, gmres_max_iters=budget)
-    out, log, msgs, threads = reconstruct_small(monkeypatch, False, cfg)
-    out_t, log_t, msgs_t, threads_t = reconstruct_small(monkeypatch, True, cfg)
-    assert threads == {threading.get_ident()}
-    assert threading.get_ident() not in threads_t
+    out, log, msgs, calls = reconstruct_small(monkeypatch, tmp_path, False, cfg)
+    out_t, log_t, msgs_t, calls_t = reconstruct_small(monkeypatch, tmp_path, True, cfg)
+    assert {pid for pid, _ in calls} == {os.getpid()}
+    # band t ran in process t mod 3: the caller, and two children per round
+    assert all((pid == os.getpid()) == (t % 3 == 0) for pid, t in calls_t)
+    assert len({pid for pid, _ in calls_t}) == 5
     assert np.array_equal(out.values, out_t.values)
     assert log.bands == log_t.bands
     assert [r["band"] for r in log_t.bands] == list(range(5)) * 2
@@ -649,37 +660,89 @@ def test_ldmm_threaded_bands_match_serial(monkeypatch, budget):
     assert bool(msgs) == (budget == 1)
 
 
-def test_ldmm_threaded_bands_raise_the_first_error_in_band_order(monkeypatch):
+def test_ldmm_threaded_bands_raise_the_first_error_in_band_order(monkeypatch, tmp_path):
     def failing_gmres(system, x0, cfg):
         if system.band >= 3:
             raise NumericalError(f"zero diagonal entry at row 0 of band {system.band}")
         return _gmres(system, x0, cfg)
 
     cfg = SolverConfig(k=8, r_sigma=4, outer_iters=1)
-    for threaded in (False, True):
+    for parallel in (False, True):
         log = RunLog()
         before = threading.active_count()
         with pytest.raises(NumericalError) as exc:
-            reconstruct_small(monkeypatch, threaded, cfg, failing_gmres, log)
-        # the pool is shut down before the error leaves ldmm_reconstruct
+            reconstruct_small(monkeypatch, tmp_path, parallel, cfg, failing_gmres, log)
+        # the workers are gone before the error leaves ldmm_reconstruct
         assert threading.active_count() == before
+        assert_no_child_left()
         assert str(exc.value) == "iteration 1: zero diagonal entry at row 0 of band 3"
         assert [r["band"] for r in log.bands] == [0, 1, 2]
 
 
-def test_ldmm_threaded_bands_keep_the_callers_errstate(monkeypatch):
+def test_ldmm_threaded_bands_keep_the_callers_errstate(monkeypatch, tmp_path):
     def dividing_gmres(system, x0, cfg):
-        if system.band == 3:
+        if system.band == 4:  # a child's band on three processes
             np.float64(1.0) / np.float64(0.0)
         return _gmres(system, x0, cfg)
 
     cfg = SolverConfig(k=8, r_sigma=4, outer_iters=1)
     found = []
-    for threaded in (False, True):
+    for parallel in (False, True):
         with np.errstate(all="raise"), pytest.raises(FloatingPointError) as exc:
-            reconstruct_small(monkeypatch, threaded, cfg, dividing_gmres)
+            reconstruct_small(monkeypatch, tmp_path, parallel, cfg, dividing_gmres)
         found.append(str(exc.value))
     assert found[0] == found[1]
+
+
+def test_ldmm_band_worker_killed_by_a_signal_names_the_band(monkeypatch, tmp_path):
+    caller = os.getpid()
+
+    def dying_gmres(system, x0, cfg):
+        if system.band == 4 and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return _gmres(system, x0, cfg)
+
+    log = RunLog()
+    cfg = SolverConfig(k=8, r_sigma=4, outer_iters=1)
+    with pytest.raises(NumericalError) as exc:
+        reconstruct_small(monkeypatch, tmp_path, True, cfg, dying_gmres, log)
+    assert str(exc.value) == "iteration 1, band 4: its worker process was killed by SIGKILL"
+    assert [r["band"] for r in log.bands] == [0, 1, 2, 3]
+    assert_no_child_left()
+
+
+def test_ldmm_error_in_the_callers_share_reaps_the_running_children(monkeypatch, tmp_path):
+    caller = os.getpid()
+
+    def gmres(system, x0, cfg):
+        if os.getpid() != caller:
+            time.sleep(60)  # still running when the caller fails, unless killed
+        elif system.band == 0:
+            raise NumericalError("zero diagonal entry at row 0 of band 0")
+        return _gmres(system, x0, cfg)
+
+    start = time.monotonic()
+    with pytest.raises(NumericalError, match="band 0$"):
+        reconstruct_small(monkeypatch, tmp_path, True, SolverConfig(k=8, r_sigma=4), gmres)
+    assert time.monotonic() - start < 30  # the children were killed, not waited for
+    assert_no_child_left()
+
+
+def test_ldmm_pins_blas_once_per_call_and_no_child_pins(monkeypatch, tmp_path):
+    pins = tmp_path / "pins.log"
+
+    def counting_pin(threads):
+        with open(pins, "a") as f:
+            f.write(f"{os.getpid()} {threads}\n")
+        return 4
+
+    monkeypatch.setattr(_workers, "_pin", counting_pin)
+    monkeypatch.setattr(graph_mod, "_BLOCK_BYTES", 4 * 64 * 3 * 8)  # 8 kNN blocks of 8 rows
+    cfg = SolverConfig(k=8, r_sigma=4, outer_iters=3)
+    _, _, _, calls = reconstruct_small(monkeypatch, tmp_path, True, cfg)
+    # set and restore, both by the caller, however many loops forked
+    assert pins.read_text().splitlines() == [f"{os.getpid()} 1", f"{os.getpid()} 4"]
+    assert len({pid for pid, _ in calls}) == 7  # the caller and two children per round
 
 
 @settings(max_examples=100)
