@@ -257,12 +257,14 @@ def assemble_wtilde(bar_w: sp.csr_matrix, geom: PatchGeometry) -> sp.csr_matrix:
     N = geom.n_pixels
     if bar_w.shape != (N, N):
         raise ValueError(f"bar_w must be {N} x {N}, got {bar_w.shape}")
-    acc = None
-    ones = np.ones(N)
-    for i in range(1, geom.d_s + 1):
-        P = sp.csr_matrix((ones, shift_permutation(geom, 1 - i), np.arange(N + 1)), shape=(N, N))
-        term = P @ bar_w @ P.T
-        acc = term if acc is None else acc + term
-    acc.sum_duplicates()  # sorts the shifted products' indices; there is nothing to merge
+    bar_w = sp.csr_matrix(bar_w, copy=True)  # the result never aliases the argument
+    bar_w.sum_duplicates()  # a no-op on build_bar_w's canonical output
+    acc = bar_w  # shift 0
+    for i in range(2, geom.d_s + 1):
+        # P @ bar_w @ P.T, each row already sorted: gather the rows, then the
+        # columns as rows of the transpose; both conversions sort by counting.
+        # Canonical operands keep every add on scipy's merge path.
+        perm = shift_permutation(geom, 1 - i)
+        acc = acc + bar_w[perm].tocsc()[:, perm].tocsr()
     return acc
 

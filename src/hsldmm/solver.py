@@ -103,6 +103,7 @@ class RunLog:
         if self.stages:
             out["apg_iters"] = sum(r["iters"] for r in self.stages)
             out["apg_nonconverged"] = sum(not r["converged"] for r in self.stages)
+            out["apg_gap"] = self.stages[-1]["gap"]
         for rec in self.iterations:
             it = rec["iteration"]
             for key, val in rec.items():

@@ -177,8 +177,10 @@ def test_reconstruct_manifest_counts_apg_iterations(tmp_path, capsys):
     apg = manifests["apg"]
     stage_keys = [f"apg_stage{i}_iters" for i in range(1, ApgConfig().n_stages + 1)]
     assert {key for key in apg if key.startswith("apg_")} == {
-        "apg_iters", "apg_nonconverged", *stage_keys
+        "apg_iters", "apg_nonconverged", "apg_gap", *stage_keys
     }
+    # the last stage's relative duality gap; its target is tol
+    assert apg["apg_nonconverged"] > 0 or 0.0 <= apg["apg_gap"] <= ApgConfig().tol
     assert all(apg[key] >= 1 for key in stage_keys)
     assert sum(apg[key] for key in stage_keys) == apg["apg_iters"]
     assert not any(key.startswith("apg_") for key in manifests["zero"])
@@ -197,6 +199,7 @@ def test_reconstruct_counts_every_apg_stage_on_all_zero_samples(tmp_path, capsys
     manifest = parse_manifest(rec.with_suffix(".manifest").read_text())
     assert all(manifest[f"apg_stage{i}_iters"] == 1 for i in range(1, 6))
     assert manifest["apg_iters"] == 5 and manifest["apg_nonconverged"] == 0
+    assert manifest["apg_gap"] == 0.0  # F(X) = 0: X is optimal, no 0/0
 
 
 def test_reconstruct_failed_apg_keeps_the_finished_stages(tmp_path, capsys, monkeypatch):

@@ -18,6 +18,7 @@ from hsldmm import (
     extract_patches,
     knn_exact,
     local_scale,
+    shift_permutation,
 )
 from hsldmm import _workers, graph
 from hsldmm.oracle import naive_bar_w, naive_knn, naive_wtilde
@@ -459,6 +460,30 @@ def test_wtilde_matches_dense_oracle():
     got = np.asarray(assemble_wtilde(bar, geom).todense())
     want = naive_wtilde(np.asarray(bar.todense()), 2, 2, 4, 4)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("s1, s2, m, n", [(1, 1, 5, 7), (2, 2, 6, 9), (3, 2, 7, 5)])
+def test_wtilde_is_bitwise_the_permutation_products(s1, s2, m, n):
+    # the sum of P_i @ bar_w @ P_i.T, canonicalized at the end: every value and
+    # index is the same, so wtilde.sum(), which sets lambda, is too
+    rng = np.random.default_rng(s1 * 10 + s2)
+    geom = PatchGeometry(s1, s2, m, n)
+    table = knn_exact(extract_patches(DataCube(rng.random((3, m, n))), geom), 6)
+    bar = build_bar_w(table, local_scale(table, 3))
+    N = geom.n_pixels
+    want = None
+    for i in range(1, geom.d_s + 1):
+        P = sp.csr_matrix((np.ones(N), shift_permutation(geom, 1 - i), np.arange(N + 1)),
+                          shape=(N, N))
+        term = P @ bar @ P.T
+        want = term if want is None else want + term
+    want.sum_duplicates()
+    got = assemble_wtilde(bar, geom)
+    assert got.has_canonical_format
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert got.sum() == want.sum()
+    assert got is not bar and not np.shares_memory(got.data, bar.data)
 
 
 def test_wtilde_row_budget_and_value_range():
