@@ -40,8 +40,11 @@ class SolverConfig:
     the shift-summed graph: the absolute weight used in each outer iteration
     is lambda_rel times that mean degree, which keeps one setting usable
     across image and patch sizes. 100 suits near-interpolation of noise-free
-    samples; 1 suits noisy data. ``gmres_max_iters`` counts total inner
-    iterations across restarts.
+    samples; 1 suits noisy data. ``gmres_tol`` bounds each band solve's
+    normwise backward error ||rhs - A u|| / (||rhs|| + L ||u||), with
+    L = max |a_ii| <= ||A||_2, which does not depend on the fidelity
+    weight's scale. ``gmres_max_iters`` counts total inner iterations
+    across restarts.
     """
 
     s1: int = 2
@@ -74,13 +77,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BandSystem:
-    """Assembled sparse system A u = rhs for one spectral band."""
+    """Assembled sparse system A u = rhs for one spectral band.
+
+    ``diag`` is A's diagonal as the assembly wrote it, which spares the
+    solver a scan of every stored entry; without it the solver reads
+    ``A.diagonal()``."""
 
     A: sp.csr_matrix
     rhs: np.ndarray
     band: int
     mu: float
     lam: float
+    diag: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -190,10 +198,11 @@ def assemble_band_system(
     # same float op order as (2 + mu chi)(D - W) + mu (D_omega - W chi) + lam chi
     # on the diagonal, with W the graph without self weights, so rate 1 gives
     # exactly 2 (D - W) + lam I
-    data[graph.diag_pos] = (2.0 + mu_chi) * graph.deg + mu * deg_omega + lam * chi
+    diag = (2.0 + mu_chi) * graph.deg + mu * deg_omega + lam * chi
+    data[graph.diag_pos] = diag
     A = sp.csr_matrix((data, W.indices, W.indptr), shape=(N, N))
     rhs = lam * chi * bvec
-    return BandSystem(A=A, rhs=rhs, band=band, mu=mu, lam=lam)
+    return BandSystem(A=A, rhs=rhs, band=band, mu=mu, lam=lam, diag=diag)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -206,20 +215,27 @@ def _gmres(
     """Restarted GMRES (Saad & Schultz 1986) with Jacobi left
     preconditioning, warm start x0.
 
-    The stopping rules are those of ``scipy.sparse.linalg.gmres`` with
-    ``rtol=cfg.gmres_tol, atol=0``: a zero right-hand side returns zero, a
-    warm start already within tolerance returns at once, each restart cycle
-    stops when its preconditioned residual estimate reaches ``ptol``, the
-    true residual ||rhs - A x|| <= tol ||rhs|| decides convergence, and
-    ``ptol`` is re-aimed after every cycle (scipy gh-8400). The Arnoldi
-    basis uses two passes of classical Gram-Schmidt; ``cfg.gmres_max_iters``
-    caps the total number of inner iterations exactly.
+    A solve converges on a certified normwise backward error (Rigal & Gaches
+    1967; Arioli, Duff & Ruiz 1992): ||rhs - A x|| <= tol (||rhs|| + L ||x||)
+    with L = max |a_ii|. As |a_ii| = |e_i' A e_i| <= ||A||_2, a converged x
+    solves exactly a system whose operator and right-hand side each moved by
+    at most tol relative, and the test does not depend on the scale of the
+    fidelity weight. A pass is ``scipy.sparse.linalg.gmres`` with ``atol``
+    fixed at tol (||rhs|| + L ||x_start||): a warm start already within it
+    returns at once, each restart cycle stops when its preconditioned
+    residual estimate reaches ``ptol``, the true residual ends the pass, and
+    ``ptol`` is re-aimed after every cycle (scipy gh-8400). A pass that ends
+    within its threshold with an x shorter than its start, so that the rule
+    does not hold, is followed by a new pass from that x. A zero right-hand
+    side returns zero. The Arnoldi basis uses two passes of classical
+    Gram-Schmidt; ``cfg.gmres_max_iters`` caps the total number of inner
+    iterations exactly.
 
-    Returns (solution, inner iterations, final preconditioned relative
-    residual ||D^-1 (rhs - A x)|| / ||D^-1 rhs||, converged flag).
+    Returns (solution, inner iterations, its backward error
+    ||rhs - A x|| / (||rhs|| + L ||x||), converged flag).
     """
     A, b = system.A, system.rhs
-    diag = A.diagonal()
+    diag = A.diagonal() if system.diag is None else system.diag
     zero_rows = np.nonzero(diag == 0.0)[0]
     if zero_rows.size:
         raise NumericalError(f"zero diagonal entry at row {zero_rows[0]} of band {system.band}")
@@ -227,16 +243,19 @@ def _gmres(
     bnrm2 = _norm(b)
     if bnrm2 == 0.0:
         return np.zeros_like(b), 0, 0.0, True
+    # a lower bound on ||A||_2, so the test is never looser than it claims
+    anorm = float(np.max(np.abs(diag)))
     n = b.shape[0]
     eps = float(np.finfo(np.float64).eps)
-    atol = cfg.gmres_tol * bnrm2
+    tol = cfg.gmres_tol
     restart = min(cfg.gmres_restart, n)
     mb_nrm2 = _norm(inv_diag * b)
-    ptol_max_factor = 1.0
-    ptol = mb_nrm2 * min(ptol_max_factor, atol / bnrm2)
     x = np.array(x0, dtype=np.float64)
     r = b - A @ x if x.any() else b.copy()
     rnorm = _norm(r)
+    atol = tol * (bnrm2 + anorm * _norm(x))
+    ptol_max_factor = 1.0
+    ptol = mb_nrm2 * min(ptol_max_factor, atol / bnrm2)
     iters = 0
     V = np.empty((restart + 1, n))
     w, proj = np.empty(n), np.empty(n)
@@ -300,27 +319,36 @@ def _gmres(
         x += np.dot(y, V[:m])
         r = b - A @ x
         rnorm = _norm(r)
-        if rnorm <= atol or breakdown:
+        if rnorm <= atol:
+            xnorm = _norm(x)
+            if rnorm <= tol * (bnrm2 + anorm * xnorm):
+                break
+            # x came out shorter than the pass's start: a new pass from x
+            atol = tol * (bnrm2 + anorm * xnorm)
+            ptol_max_factor = 1.0
+            ptol = mb_nrm2 * min(ptol_max_factor, atol / bnrm2)
+            continue
+        if breakdown:
             break
         if presid <= ptol:
             ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
         else:
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
-    final = _norm(inv_diag * r) / mb_nrm2
-    return x, iters, final, rnorm <= atol
+    xnorm = _norm(x)
+    return x, iters, rnorm / (bnrm2 + anorm * xnorm), rnorm <= tol * (bnrm2 + anorm * xnorm)
 
 
 def solve_band(system: BandSystem, x0: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Solve one band system; warns and returns the last iterate if the
-    iteration budget runs out."""
+    """Solve one band system; warns with the backward error reached and
+    returns the last iterate if the iteration budget runs out."""
     x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
     if x0.shape[0] != system.n:
         raise ValueError(f"warm start has size {x0.shape[0]}, system has {system.n}")
-    x, _, final, converged = _gmres(system, x0, cfg)
+    x, _, eta, converged = _gmres(system, x0, cfg)
     if not converged:
         warnings.warn(
-            f"gmres on band {system.band} stopped at residual {final:.3e}",
+            f"gmres on band {system.band} stopped at backward error {eta:.3e}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -419,19 +447,21 @@ def ldmm_reconstruct(
                 raise NumericalError(f"iteration {it}: {exc}") from exc
 
         unconverged: dict[int, float] = {}
+        gmres_iters = 0
         with closing(_in_order(solve, b.B, _pool_size(), f"iteration {it}, band")) as results:
-            for t, (x, iters, resid, converged) in enumerate(results):
+            for t, (x, iters, eta, converged) in enumerate(results):
                 if not np.all(np.isfinite(x)):
                     raise NumericalError(f"non-finite band solution at iteration {it}, band {t}")
+                gmres_iters += iters
                 if not converged:
-                    unconverged[t] = resid
+                    unconverged[t] = eta
                 if log is not None:
                     log.bands.append(
                         {
                             "iteration": it,
                             "band": t,
                             "gmres_iters": iters,
-                            "residual": resid,
+                            "backward_error": eta,
                             "converged": converged,
                         }
                     )
@@ -439,13 +469,13 @@ def ldmm_reconstruct(
         if unconverged:
             warnings.warn(
                 f"iteration {it}: gmres stopped short of tolerance on bands "
-                f"{sorted(unconverged)}, worst residual {max(unconverged.values()):.3e}",
+                f"{sorted(unconverged)}, worst backward error {max(unconverged.values()):.3e}",
                 RuntimeWarning,
                 stacklevel=2,
             )
         if log is not None:
             rec: dict = {"iteration": it, "lambda": lam, "mean_degree": mean_degree,
-                         "nnz": nnz, "graph_secs": graph_secs,
+                         "nnz": nnz, "gmres_iters": gmres_iters, "graph_secs": graph_secs,
                          "secs": time.perf_counter() - t0}
             if ref is not None:
                 met = psnr(DataCube(u), ref)

@@ -75,20 +75,35 @@ def diags_assembly(wtilde, mask, lam, rate):
     ).tocsr()
 
 
-def scipy_gmres(system, x0, cfg):
+def scipy_gmres(system, x0, cfg, rhs_relative=False):
     """Reference solve: scipy's gmres with the same Jacobi preconditioner.
+
+    Each pass gets the backward-error threshold tol (||rhs|| + L ||x||),
+    L = max |a_ii|, through ``atol``, fixed from the pass's warm start; a
+    pass that ends short of the rule at its own x is followed by another
+    from there. ``rhs_relative`` runs scipy's own rule ``atol=0`` instead.
     Its budget counts whole restart cycles, so callers pick budgets that
     are multiples of the restart length."""
-    A = system.A
-    inv_diag = 1.0 / A.diagonal()
+    A, b, tol = system.A, system.rhs, cfg.gmres_tol
+    diag = A.diagonal()
+    inv_diag = 1.0 / diag
+    anorm, bnrm2 = np.max(np.abs(diag)), np.linalg.norm(b)
     M = spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
-    history = []
-    x, info = spla.gmres(
-        A, system.rhs, x0=x0, rtol=cfg.gmres_tol, atol=0.0, restart=cfg.gmres_restart,
-        maxiter=math.ceil(cfg.gmres_max_iters / cfg.gmres_restart), M=M,
-        callback=history.append, callback_type="pr_norm",
-    )
-    return x, len(history), info == 0
+    x, iters = x0, 0
+    while True:
+        atol = 0.0 if rhs_relative else tol * (bnrm2 + anorm * np.linalg.norm(x))
+        history = []
+        x, info = spla.gmres(
+            A, b, x0=x, rtol=tol, atol=atol, restart=cfg.gmres_restart,
+            maxiter=math.ceil(cfg.gmres_max_iters / cfg.gmres_restart), M=M,
+            callback=history.append, callback_type="pr_norm",
+        )
+        iters += len(history)
+        if rhs_relative:
+            return x, iters, info == 0
+        ok = np.linalg.norm(b - A @ x) <= tol * (bnrm2 + anorm * np.linalg.norm(x))
+        if ok or info != 0:
+            return x, iters, ok
 
 
 def test_config_validation():
@@ -356,15 +371,45 @@ def test_gmres_matches_scipy_reference():
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
-def test_gmres_reports_true_preconditioned_residual():
-    cube, geom, wt = small_graph(8, 8, 1, 2, 8, 63)
-    mask = make_mask((8, 8, 1), 0.2, 64).band(0)
-    system = assemble_band_system(wt, mask, cube.band(0), 50.0, 0.2)
-    d = system.A.diagonal()
-    for budget in (3, 500):
-        x, _, resid, _ = _gmres(system, np.zeros(64), SolverConfig(gmres_max_iters=budget))
-        direct = np.linalg.norm((system.rhs - system.A @ x) / d) / np.linalg.norm(system.rhs / d)
-        assert math.isclose(resid, direct, rel_tol=1e-10)
+def test_gmres_never_iterates_more_than_the_rhs_relative_rule():
+    # tol (||rhs|| + L ||x||) is never below scipy's tol ||rhs|| (atol=0)
+    for system, x0, cfg in gmres_cases():
+        _, iters, _, _ = _gmres(system, x0, cfg)
+        _, iters_rhs, _ = scipy_gmres(system, x0, cfg, rhs_relative=True)
+        assert iters <= iters_rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([6, 8]),
+    k=st.sampled_from([6, 8]),
+    seed=st.integers(0, 10_000),
+    rate=st.sampled_from([1.0, 0.5, 0.2, 0.05]),
+    lam_rel=st.sampled_from([0.01, 1.0, 100.0]),
+    warm=st.sampled_from([0.0, 1e-3, 10.0]),
+    tol=st.sampled_from([1e-3, 1e-6, 1e-10]),
+    restart=st.sampled_from([5, 10, 30]),
+    budget=st.sampled_from([3, 400]),
+)
+def test_gmres_certifies_its_backward_error(m, k, seed, rate, lam_rel, warm, tol, restart, budget):
+    cube, geom, wt = small_graph(m, m, 1, 2, k, seed)
+    mask = make_mask((m, m, 1), rate, seed).band(0)
+    lam = lam_rel * float(wt.sum()) / (m * m)
+    system = assemble_band_system(wt, mask, cube.band(0), lam, rate)
+    x0 = warm * np.random.default_rng(seed).standard_normal(m * m)
+    cfg = SolverConfig(gmres_tol=tol, gmres_restart=restart, gmres_max_iters=budget)
+    x, iters, eta, ok = _gmres(system, x0, cfg)
+    # the assembled diagonal is A's, bitwise, and a bare system reads A's
+    assert np.array_equal(system.diag, system.A.diagonal())
+    x_bare, *rest = _gmres(dataclasses.replace(system, diag=None), x0, cfg)
+    assert np.array_equal(x_bare, x) and rest == [iters, eta, ok]
+    A = system.A.toarray()
+    anorm, L = np.linalg.norm(A, 2), np.max(np.abs(np.diag(A)))
+    assert L <= anorm
+    rnorm, bnorm, xnorm = (np.linalg.norm(v) for v in (system.rhs - system.A @ x, system.rhs, x))
+    assert math.isclose(eta, rnorm / (bnorm + L * xnorm), rel_tol=1e-12)
+    if ok:
+        assert rnorm <= tol * (anorm * xnorm + bnorm)
 
 
 @pytest.mark.parametrize("restart, budget", [(30, 1), (30, 45), (7, 20)])
@@ -372,8 +417,8 @@ def test_gmres_budget_caps_inner_iterations_exactly(restart, budget):
     cube, geom, wt = small_graph(8, 8, 1, 2, 8, 65)
     mask = make_mask((8, 8, 1), 0.2, 66).band(0)
     system = assemble_band_system(wt, mask, cube.band(0), 50.0, 0.2)
-    # a tolerance at round-off level, so only the budget can stop the run
-    cfg = SolverConfig(gmres_tol=1e-16, gmres_restart=restart, gmres_max_iters=budget)
+    # a tolerance far below round-off, so only the budget can stop the run
+    cfg = SolverConfig(gmres_tol=1e-300, gmres_restart=restart, gmres_max_iters=budget)
     _, iters, _, ok = _gmres(system, np.zeros(64), cfg)
     assert iters == budget and not ok
 
@@ -548,6 +593,11 @@ def test_ldmm_logs_bands_and_psnr():
     summary = log.summary()
     assert "iter1_psnr_standard" in summary and "gmres_total_iters" in summary
     assert summary["gmres_nonconverged"] == 0
+    for rec in log.iterations:
+        bands = [r for r in log.bands if r["iteration"] == rec["iteration"]]
+        assert rec["gmres_iters"] == sum(r["gmres_iters"] for r in bands)
+        assert all(r["backward_error"] <= cfg.gmres_tol for r in bands)
+    assert summary["iter1_gmres_iters"] + summary["iter2_gmres_iters"] == summary["gmres_total_iters"]
 
 
 def test_ldmm_does_not_evaluate_the_energy(monkeypatch):
@@ -590,7 +640,7 @@ def test_ldmm_warns_once_per_iteration_when_gmres_stops_short():
         assert short and all(r["gmres_iters"] == 1 for r in short)
         want.append(
             f"iteration {it}: gmres stopped short of tolerance on bands "
-            f"{[r['band'] for r in short]}, worst residual {max(r['residual'] for r in short):.3e}"
+            f"{[r['band'] for r in short]}, worst backward error {max(r['backward_error'] for r in short):.3e}"
         )
     assert msgs == want
 
