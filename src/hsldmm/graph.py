@@ -45,15 +45,58 @@ class NeighborTable:
         return self.indices.shape[1]
 
 
-# the settle temporaries of all kNN workers together; of 1 MiB, 512, 256 and
-# 128 KiB, 512 KiB was as fast or faster on every benchmark workload with two
-# workers, and larger budgets only raised peak memory
-_CHUNK_BYTES = 1 << 19
-# the float32 screen blocks of all kNN workers together; of 2, 4 and 8 MiB,
-# 2 MiB was as fast or faster on every benchmark workload, and 1 MiB was
-# slower. Each worker's block has a boolean band mask and a quarter block for
-# the partitioned copy beside it: the screen's only temporaries of its width
-_BLOCK_BYTES = 2 << 20
+# Rows per screen block where the GEMM is the cost. Each sgemm packs all of
+# Q.T and each settle makes about 20 numpy calls, so a block pays back its
+# fixed costs only with enough rows. Median times per call on 2 vCPU with
+# two processes: at N = 6400, d = 128, 0.31 s in 40-row blocks, 0.26-0.27 s
+# in 128-192 and 0.30 s in 256; at N = 16 384, 2.34 s in 16-row blocks and
+# 1.46-1.50 s in 128-256.
+_GEMM_ROWS = 160
+# Blocks per process at least, so that the processes' loads stay even: at
+# N = 2304, d = 96, a call took 0.061 s in 455-row blocks (three per
+# process) against 0.053 s in 160-row ones.
+_MIN_BLOCKS = 4
+# Band entries per settle chunk, in each process: the 256 KiB of float64
+# that each of two processes had when a 512 KiB budget for all of them was
+# as fast or faster than 1 MiB, 256 and 128 KiB on every benchmark workload.
+_CHUNK_ENTRIES = 1 << 15
+# Bytes of settle temporaries per band entry of a chunk, at most: the entries'
+# row, column and distance arrays, their sort order, the gathered patch
+# differences, the picks of k per row and the block's row vectors. Counted
+# per entry of the chunk or of its largest band, whichever is larger, the
+# largest peak measured with tracemalloc was 99, with k = N.
+_SETTLE_BYTES = 128
+# The part of a process's kNN scratch bound that does not grow with N. It
+# keeps inputs with small d, whose GEMM costs little, near the blocks of the
+# old 2 MiB screen budget, so that the caller's peak memory does not rise: at
+# N = 4096, d = 8, 67 rows at 5 bytes per entry against 64 rows at 6.
+_SCRATCH_FLOOR = 9 << 19
+
+
+def _scratch_bound(N: int, d: int) -> int:
+    """Bytes one process of ``knn_exact`` may hold besides its table: the
+    floor, plus per row the centred float64 copy and its float32 cast
+    (12 d bytes), six float64 row vectors and one settled band entry."""
+    return _SCRATCH_FLOOR + (12 * d + 48 + _SETTLE_BYTES) * N
+
+
+def _screen_bytes(N: int, d: int, rows: int) -> int:
+    """Bytes one process of ``knn_exact`` holds besides its table while it
+    screens blocks of ``rows`` rows: the float32 cast, four row vectors, the
+    block and its quarter-height copy (5 bytes per entry), and the settle's
+    temporaries for a chunk, which holds at least one row's band. The
+    centring before it holds the float64 copy, the cast and up to six row
+    vectors, which ``_scratch_bound`` covers at any size."""
+    return (4 * d + 32 + 5 * rows) * N + _SETTLE_BYTES * max(_CHUNK_ENTRIES, N)
+
+
+def _block_rows(N: int, d: int, workers: int) -> int:
+    """Rows per screen block for N rows of d entries on ``workers``
+    processes: ``_GEMM_ROWS``, fewer if that would leave a process fewer
+    than ``_MIN_BLOCKS`` blocks, and fewer still if the screen would pass
+    ``_scratch_bound``, which leaves room for one row at any N and d."""
+    room = (_scratch_bound(N, d) - _screen_bytes(N, d, 0)) // (5 * N)
+    return min(_GEMM_ROWS, max(1, N // (_MIN_BLOCKS * workers)), room)
 
 
 def _pair_sq_dists(P: np.ndarray, x: np.ndarray, y: np.ndarray, budget: int) -> np.ndarray:
@@ -76,19 +119,19 @@ def _smallest_k(
     tol: np.ndarray,
     zero: np.ndarray,
     part: np.ndarray,
-    band: np.ndarray,
-    budget: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The k nearest neighbors of ``rows`` exactly as the oracle ranks them:
-    by (difference-form distance, index), the row itself first.
+    """The k nearest neighbors of ``rows``, consecutive row indices, exactly
+    as the oracle ranks them: by (difference-form distance, index), the row
+    itself first.
 
     ``D`` holds the screened squared distances of ``rows``, each within
     ``tol`` of the difference form in the screen's units. Every exact
     neighbor then screens within 2*tol of the screened k-th value, so only
     that band is settled exactly; a row without near ties has exactly k
-    entries in it. ``band`` is scratch of ``D``'s shape for the band mask,
-    and ``part`` scratch of ``D``'s width for the partitioned copy of a few
-    rows at a time; the settle's temporaries stay near ``budget`` bytes.
+    entries in it. ``part`` is float32 scratch of ``D``'s width and a quarter
+    of its height, rounded up: it takes the partitioned copy of that many
+    rows at a time, then the band mask. The settle takes about
+    ``_CHUNK_ENTRIES`` band entries at a time, and at least one row.
     """
     nb = D.shape[0]
     D[np.arange(nb), rows] = -np.inf  # the row itself ranks first
@@ -101,20 +144,21 @@ def _smallest_k(
     # rounding to nearest is monotone, so no screened value <= the exact edge
     # is dropped
     edge = (kth + 2.0 * tol).astype(D.dtype)
+    band = part.reshape(-1).view(np.bool_)[: D.size].reshape(D.shape)
     np.less_equal(D, edge[:, None], out=band)
     counts = np.count_nonzero(band, axis=1)
-    step = max(1, budget // (8 * int(counts.max())))  # rows per chunk of band entries
+    step = max(1, _CHUNK_ENTRIES // int(counts.max()))  # rows per chunk of band entries
     idx = np.empty((nb, k), dtype=np.int64)
     d2 = np.empty((nb, k))
     for lo in range(0, nb, step):
         chunk = slice(lo, lo + step)
-        r, c = np.divmod(np.flatnonzero(band[chunk]), D.shape[1])  # faster than 2-d nonzero
-        x = rows[lo + r]
-        e = np.zeros(r.size)
+        x, c = np.divmod(np.flatnonzero(band[chunk]), D.shape[1])  # faster than 2-d nonzero
+        x += rows[lo]  # the rows are consecutive
+        e = np.zeros(x.size)
         live = ~(zero[x] & zero[c])  # two all-zero patches are exactly 0 apart in either form
-        e[live] = _pair_sq_dists(P, x[live], c[live], budget)
+        e[live] = _pair_sq_dists(P, x[live], c[live], 8 * _CHUNK_ENTRIES)
         e[c == x] = -np.inf
-        order = np.lexsort((e, r))  # stable: equal distances keep index order
+        order = np.lexsort((e, x))  # stable: equal distances keep index order
         first = order[(np.cumsum(counts[chunk]) - counts[chunk])[:, None] + np.arange(k)]
         idx[chunk] = c[first]
         d2[chunk] = e[first]
@@ -134,10 +178,9 @@ def knn_exact(patches: np.ndarray, k: int) -> NeighborTable:
 
     The blocks are dealt to one process per usable CPU, with BLAS pinned to
     one thread (see ``_workers``). Each process fills its own copy of the
-    scratch this call allocates; ``_BLOCK_BYTES`` and ``_CHUNK_BYTES`` are
-    shared out among the processes, so the memory does not grow with their
-    number. The table does not depend on the number of processes or the
-    block size.
+    scratch this call allocates, which ``_block_rows`` keeps within
+    ``_scratch_bound`` before it is allocated. The table does not depend on
+    the number of processes or the block size.
 
     Certificate, in scaled units. Let u = 2**-24 and t = 2**-126 be float32's
     unit roundoff and smallest normal, u64 and t64 float64's, and
@@ -166,12 +209,11 @@ def _knn_exact(patches: np.ndarray, k: int, workers: int) -> NeighborTable:
     N, d = P.shape
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= {N}, got k={k}")
-    sq_norms = np.einsum("ij,ij->i", P, P)
-    top = float(sq_norms.max())
+    top = float(np.einsum("ij,ij->i", P, P).max())
     if not np.isfinite(8.0 * top):  # a NaN or inf entry, or squared norms near overflow
         raise ValueError("patches must be finite, with squared norms well inside float64 range")
     C = P - P.mean(axis=0)  # differences are translation invariant; float32 keeps the spread
-    s = -int(np.frexp(np.abs(C).max(initial=0.0))[1])
+    s = -int(np.frexp(max(C.max(initial=0.0), -C.min(initial=0.0)))[1])  # max |entry|
     np.ldexp(C, s, out=C)  # max |entry| in [0.5, 1): no float32 overflow, few subnormals
     Q = C.astype(np.float32)
     del C
@@ -183,26 +225,23 @@ def _knn_exact(patches: np.ndarray, k: int, workers: int) -> NeighborTable:
     tol = 2.0 * (d + 10) * (u * (q2 + q2.max()) + 10.0 * t) + under
     zero = ~P.any(axis=1)
     workers = min(workers, N)
-    block_rows = min(N, max(1, _BLOCK_BYTES // (4 * N * workers)))
+    block_rows = _block_rows(N, d, workers)
     starts = range(0, N, block_rows)
     workers = min(workers, len(starts))
-    budget = _CHUNK_BYTES // workers
     screen = np.empty((block_rows, N), np.float32)
-    in_band = np.empty((block_rows, N), bool)
     # a quarter block for the partitioned copy was as fast as a whole one
-    # and holds less memory through the settle
-    part = np.empty((max(1, block_rows // 4), N), np.float32)
+    part = np.empty((-(-block_rows // 4), N), np.float32)
 
     def block(i):
         start = starts[i]
         stop = min(start + block_rows, N)
-        D, band = screen[: stop - start], in_band[: stop - start]
+        D = screen[: stop - start]
         np.dot(Q[start:stop], Q.T, out=D)
         D *= -2.0
         D += n[start:stop, None]
         D += n
         rows = np.arange(start, stop)
-        return _smallest_k(D, k, P, rows, tol[start:stop], zero, part, band, budget)
+        return _smallest_k(D, k, P, rows, tol[start:stop], zero, part)
 
     idx_out = np.empty((N, k), dtype=np.int64)
     d2_out = np.empty((N, k), dtype=np.float64)

@@ -471,7 +471,7 @@ def ldmm_reconstruct(
                 f"iteration {it}: gmres stopped short of tolerance on bands "
                 f"{sorted(unconverged)}, worst backward error {max(unconverged.values()):.3e}",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the frame that the _one_blas_thread decorator adds
             )
         if log is not None:
             rec: dict = {"iteration": it, "lambda": lam, "mean_degree": mean_degree,

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,9 +65,9 @@ def test_knn_is_bitwise_oracle_on_clustered_offset_data():
 
 
 def block_sizes(n):
-    """_BLOCK_BYTES values giving 1-row, 7-row and whole-matrix screen blocks
-    on one worker."""
-    return [4 * n * rows for rows in (1, 7, n)]
+    """Stand-ins for graph._block_rows giving 1-row, 7-row and whole-matrix
+    screen blocks."""
+    return [lambda N, d, workers, rows=rows: min(rows, N) for rows in (1, 7, n)]
 
 
 @settings(max_examples=40)
@@ -102,9 +103,9 @@ def test_knn_property_oracle_and_block_invariance(
         pts[rng.integers(n)] *= 1e6
     pts[rng.random(n) < zero_frac] = 0.0  # exactly-zero rows
     idx, d2 = naive_knn(pts, k)
-    for block_bytes in block_sizes(n):
+    for block_rows in block_sizes(n):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(graph, "_block_rows", block_rows)
             table = knn_exact(pts, k)
         assert np.array_equal(table.indices, idx)
         assert np.array_equal(table.sq_dists, d2)
@@ -113,8 +114,8 @@ def test_knn_property_oracle_and_block_invariance(
 def test_knn_block_size_invariance(monkeypatch):
     pts = cloud(100, 5, 3)
     tables = []
-    for block_bytes in block_sizes(100):
-        monkeypatch.setattr(graph, "_BLOCK_BYTES", block_bytes)
+    for block_rows in block_sizes(100):
+        monkeypatch.setattr(graph, "_block_rows", block_rows)
         tables.append(knn_exact(pts, 7))
     for table in tables[1:]:
         assert np.array_equal(table.indices, tables[0].indices)
@@ -161,11 +162,61 @@ def test_knn_workers_are_bitwise_oracle(n, d, offset, zero_frac, block_rows, see
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             # block_rows rows per worker's block; settle chunks of a few rows
-            mp.setattr(graph, "_BLOCK_BYTES", 4 * n * workers * block_rows)
-            mp.setattr(graph, "_CHUNK_BYTES", 64 * workers)
+            mp.setattr(graph, "_block_rows", lambda N, d, w: min(block_rows, N))
+            mp.setattr(graph, "_CHUNK_ENTRIES", 8)
             table = graph._knn_exact(pts, k, workers)
         assert np.array_equal(table.indices, idx)
         assert np.array_equal(table.sq_dists, d2)
+
+
+@settings(max_examples=200)
+@given(
+    N=st.integers(1, 10**6),
+    d=st.integers(1, 4096),
+    workers=st.integers(1, 256),
+)
+def test_block_rows_rule(N, d, workers):
+    rows = graph._block_rows(N, d, workers)
+    assert 1 <= rows <= min(N, graph._GEMM_ROWS)
+    if N >= graph._MIN_BLOCKS * workers:
+        # block i runs in process i mod workers, so the fewest any gets is
+        # the block count over the workers, rounded down
+        assert -(-N // rows) // workers >= graph._MIN_BLOCKS
+    assert graph._screen_bytes(N, d, rows) <= graph._scratch_bound(N, d)
+
+
+@pytest.mark.parametrize(
+    "kind, n, d, k",
+    [
+        ("spread", 3000, 8, 20),
+        ("spread", 3000, 128, 20),
+        ("equal", 3000, 2, 20),  # every band holds every row
+        ("zero", 3000, 8, 20),  # half the rows all-zero duplicates
+        ("grid", 1500, 3, 200),  # duplicates and equidistant ties
+        ("spread", 1200, 40, 1200),  # k = N
+    ],
+)
+def test_knn_scratch_stays_within_its_bound(kind, n, d, k):
+    rng = np.random.default_rng(n + d + k)
+    if kind == "grid":
+        pts = 0.5 * rng.integers(0, 3, (n, d))
+    elif kind == "equal":
+        pts = np.full((n, d), 0.3)
+    else:
+        pts = rng.random((n, d))
+        if kind == "zero":
+            pts[rng.random(n) < 0.5] = 0.0
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        table = graph._knn_exact(pts, k, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.indices.shape == (n, k)
+    rows = graph._block_rows(n, d, 1)
+    # besides the scratch: the table, and two blocks' slices of it, the one
+    # being settled and the one the block loop still holds
+    assert peak <= graph._scratch_bound(n, d) + 16 * n * k + 2 * 16 * rows * k
 
 
 def fake_pin(monkeypatch, count=4):
@@ -209,7 +260,7 @@ def test_knn_runs_blocks_on_pinned_workers_and_restores_the_count(monkeypatch, t
     idx, d2 = naive_knn(pts, 6)
     state = fake_pin(monkeypatch)
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(graph, "_BLOCK_BYTES", 4 * 120 * 3 * 8)  # 15 blocks of 8 rows
+    monkeypatch.setattr(graph, "_block_rows", lambda N, d, workers: 8)  # 15 blocks of 8 rows
     log = tmp_path / "select.log"
     traced_select(monkeypatch, log, state)
     table = knn_exact(pts, 6)
@@ -227,7 +278,8 @@ def test_knn_runs_blocks_on_pinned_workers_and_restores_the_count(monkeypatch, t
 
 def test_knn_without_the_pin_runs_on_one_worker(monkeypatch, tmp_path):
     pts = cloud(120, 4, 6)
-    monkeypatch.setattr(graph, "_BLOCK_BYTES", 4 * 120 * 8)
+    # 8 rows shared out: 2-row blocks on three processes, 8-row ones on one
+    monkeypatch.setattr(graph, "_block_rows", lambda N, d, workers: 8 // workers)
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
     pinned = knn_exact(pts, 6)
     monkeypatch.setattr(_workers, "_pin", None)  # numpy without the symbol
@@ -251,7 +303,8 @@ def test_loops_without_fork_run_on_the_caller(monkeypatch):
 
 def test_knn_workers_keep_the_callers_errstate(monkeypatch, tmp_path):
     fake_pin(monkeypatch)
-    monkeypatch.setattr(graph, "_BLOCK_BYTES", 4 * 120 * 8)
+    # 8 rows shared out: 2-row blocks on three processes, 8-row ones on one
+    monkeypatch.setattr(graph, "_block_rows", lambda N, d, workers: 8 // workers)
     log = tmp_path / "select.log"
     traced_select(monkeypatch, log, fail_from=100)
     pts = cloud(120, 4, 7)
@@ -271,7 +324,7 @@ def test_knn_workers_keep_the_callers_errstate(monkeypatch, tmp_path):
 def test_knn_worker_killed_by_a_signal_names_the_block(monkeypatch):
     fake_pin(monkeypatch)
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(graph, "_BLOCK_BYTES", 4 * 120 * 3 * 8)  # 15 blocks of 8 rows
+    monkeypatch.setattr(graph, "_block_rows", lambda N, d, workers: 8)  # 15 blocks of 8 rows
     caller, real = os.getpid(), graph._smallest_k
 
     def select(D, k, P, rows, *args):

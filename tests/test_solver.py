@@ -40,7 +40,7 @@ from hsldmm import (
     synth_cube,
     wnll_energy,
 )
-from hsldmm.oracle import dense_solve, fd_gradient
+from hsldmm.oracle import DENSE_SOLVE_CAP, dense_solve, fd_gradient
 from hsldmm.solver import RunLog, _gmres
 
 
@@ -323,6 +323,59 @@ def test_solve_matches_dense_lu():
     x = solve_band(system, np.zeros(64), cfg)
     ref = dense_solve(system)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("m, k", [(8, 6), (16, 10), (24, 20)])
+def test_solve_band_on_truncated_graphs_matches_dense_solve(s, m, k):
+    # kNN-truncated graphs (k < N), where the operator is not the exact
+    # gradient of the band energy that c04 checks: the distance to the dense
+    # solution is bounded by ||A^-1||_2 times the residuals, and the residual
+    # meets the certified backward-error rule
+    assert m * m <= DENSE_SOLVE_CAP
+    cube, _, wt = small_graph(m, m, 3, s, k, m + s)
+    masks = make_mask(cube.dims, 0.3, m)
+    lam = float(wt.sum()) / (m * m)  # lambda_rel = 1
+    cfg = SolverConfig(k=k, r_sigma=k // 2, gmres_max_iters=4000)
+    compared = 0
+    for t in range(cube.B):
+        rate = float(masks.rates()[t])
+        system = assemble_band_system(wt, masks.band(t), cube.band(t), lam, rate)
+        A, rhs = system.A.toarray(), system.rhs
+        sigma = np.linalg.svd(A, compute_uv=False)
+        if sigma[-1] <= m * m * np.finfo(float).eps * sigma[0]:
+            # a graph component without a sample leaves the operator singular
+            # (ROADMAP item 1); the dense oracle must refuse it
+            with pytest.raises((np.linalg.LinAlgError, ArithmeticError)):
+                dense_solve(system)
+            continue
+        x = solve_band(system, np.zeros(m * m), cfg)
+        ref = dense_solve(system)
+        resid = np.linalg.norm(rhs - A @ x)
+        assert np.linalg.norm(x - ref) <= (resid + np.linalg.norm(rhs - A @ ref)) / sigma[-1]
+        L = np.abs(np.diag(A)).max()
+        assert resid <= cfg.gmres_tol * (np.linalg.norm(rhs) + L * np.linalg.norm(x))
+        compared += 1
+    assert compared >= 2
+
+
+def test_warnings_name_the_calling_line():
+    # a starved budget makes each entry point warn; the warning must point at
+    # this file, not at a frame inside the library or contextlib
+    cube = synth_cube(SyntheticSpec(12, 12, 3, 2, smoothness=1.0, seed=5))
+    masks = make_mask(cube.dims, 0.3, 6)
+    b = apply_mask(cube, masks)
+    cfg = SolverConfig(k=8, r_sigma=4, outer_iters=1, gmres_max_iters=1, gmres_restart=1)
+    _, _, wt = small_graph(8, 8, 1, 2, 8, 8)
+    mask = make_mask((8, 8, 1), 0.2, 9).band(0)
+    system = assemble_band_system(wt, mask, np.ones((8, 8)), 5.0, 0.2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ldmm_reconstruct(b, masks, cfg, b)
+        solve_band(system, np.zeros(64), cfg)
+        apg_complete(b, masks, ApgConfig(n_stages=1, max_iters=1, tol=1e-12))
+    found = {str(w.message).split()[0]: w.filename for w in caught}
+    assert found == {"iteration": __file__, "gmres": __file__, "completion": __file__}
 
 
 def test_solve_zero_diagonal_reports_row():
@@ -787,7 +840,7 @@ def test_ldmm_pins_blas_once_per_call_and_no_child_pins(monkeypatch, tmp_path):
         return 4
 
     monkeypatch.setattr(_workers, "_pin", counting_pin)
-    monkeypatch.setattr(graph_mod, "_BLOCK_BYTES", 4 * 64 * 3 * 8)  # 8 kNN blocks of 8 rows
+    monkeypatch.setattr(graph_mod, "_block_rows", lambda N, d, workers: 8)  # 8 kNN blocks of 8 rows
     cfg = SolverConfig(k=8, r_sigma=4, outer_iters=3)
     _, _, _, calls = reconstruct_small(monkeypatch, tmp_path, True, cfg)
     # set and restore, both by the caller, however many loops forked
