@@ -4,10 +4,11 @@ the kNN row blocks and the band solves.
 ``_in_order`` deals a loop's calls by interleave to P processes: call i runs
 in process i mod P. Process 0 is the caller; the others are children forked
 for the loop, which send each result, or the exception that ends their
-share, back through a pipe. A child shares the loop's inputs copy-on-write
-and keeps the caller's ``np.errstate``. Threads overlapped poorly, because
-the Python-level steps of GMRES and of the kNN settle hold the interpreter
-lock; a spawned worker would pay about 0.8 s of start-up per loop.
+share, back through a pipe; with P = 1 the same loop forks no child. A
+child shares the loop's inputs copy-on-write and keeps the caller's
+``np.errstate``. Threads overlapped poorly, because the Python-level steps
+of GMRES and of the kNN settle hold the interpreter lock; a spawned worker
+would pay about 0.8 s of start-up per loop.
 
 OpenBLAS runs on one thread inside the loops, so that the processes do not
 contend with BLAS's own pool and results do not depend on P.
@@ -118,9 +119,6 @@ def _in_order(fn, count: int, workers: int, what: str):
     """
     workers = min(workers, count) if _forks() else 1
     with _one_blas_thread():
-        if workers <= 1:
-            yield from map(fn, range(count))
-            return
         children = []  # (pid, reader) of the processes for residues 1, 2, ...
         try:
             for j in range(1, workers):

@@ -233,7 +233,7 @@ def cmd_export_band(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    return 0 if selfcheck(verbose=True) else NUMERICAL_ERROR
+    return 0 if selfcheck() else NUMERICAL_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -224,10 +224,8 @@ def _knn_exact(patches: np.ndarray, k: int, workers: int) -> NeighborTable:
     under = math.ldexp(2.0 * d * np.finfo(np.float64).tiny, min(2 * s, 1030))
     tol = 2.0 * (d + 10) * (u * (q2 + q2.max()) + 10.0 * t) + under
     zero = ~P.any(axis=1)
-    workers = min(workers, N)
     block_rows = _block_rows(N, d, workers)
     starts = range(0, N, block_rows)
-    workers = min(workers, len(starts))
     screen = np.empty((block_rows, N), np.float32)
     # a quarter block for the partitioned copy was as fast as a whole one
     part = np.empty((-(-block_rows // 4), N), np.float32)
@@ -277,6 +275,8 @@ def build_bar_w(table: NeighborTable, sigma: np.ndarray) -> sp.csr_matrix:
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.shape != (N,):
         raise ValueError(f"sigma must have shape ({N},), got {sigma.shape}")
+    if not np.all((sigma > 0.0) & (sigma < np.inf)):  # a NaN fails both
+        raise ValueError("sigma must be finite and positive")
     denom = sigma[:, None] * sigma[table.indices]
     w = np.exp(-table.sq_dists / denom)
     # keep the k-per-row structure even if exp underflows

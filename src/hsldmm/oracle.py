@@ -295,8 +295,9 @@ def _check_band_workers() -> bool:
             and all(np.array_equal(x, y) for x, y in zip(serial, forked)))
 
 
-def selfcheck(verbose: bool = True) -> bool:
-    """Run the oracle battery; prints one PASS/FAIL line per check."""
+def selfcheck() -> bool:
+    """Run the oracle battery; prints where the loops run, then one PASS/FAIL
+    line per check."""
     checks = [
         ("adjoint_identity", _check_adjoint),
         ("graph_vs_naive", _check_graph),
@@ -306,17 +307,17 @@ def selfcheck(verbose: bool = True) -> bool:
         ("svt_closed_form", _check_svt),
         ("band_workers", _check_band_workers),
     ]
-    if verbose:
-        from ._workers import _forks, _pin
+    from ._workers import _pin, _pool_size
 
-        state = "active" if _pin else "missing"
-        where = "forked worker processes" if _forks() else "the caller alone"
-        print(f"BLAS pin (openblas_set_num_threads_local): {state}; "
-              f"kNN blocks and bands run on {where}")
+    P = _pool_size()
+    where = f"{P} processes, the caller and {P - 1} forked"
+    if P == 1:
+        where = "1 process, the caller alone"
+    print(f"BLAS pin (openblas_set_num_threads_local): {'active' if _pin else 'missing'}; "
+          f"kNN blocks and bands run on {where}")
     ok = True
     for name, fn in checks:
         passed = fn()
         ok = ok and passed
-        if verbose:
-            print(f"{name}: {'PASS' if passed else 'FAIL'}")
+        print(f"{name}: {'PASS' if passed else 'FAIL'}")
     return ok

@@ -1,7 +1,10 @@
 """Patch extraction and the periodic shift operators it is built from.
 
 Shifts wrap around at the image border, so every component shift is a
-permutation of the pixel grid and its adjoint is exactly its inverse.
+permutation of the pixel grid and its adjoint is exactly its inverse. All of
+them gather by ``shift_permutation``: the patch matrix's offset-i columns,
+the i-th component and its adjoint here, and the shift-sum of
+``graph.assemble_wtilde``.
 """
 
 from __future__ import annotations
@@ -94,28 +97,25 @@ def extract_patches(cube: DataCube, geom: PatchGeometry) -> np.ndarray:
     need = geom.n_pixels * d * 8
     if need > _MAX_PATCH_BYTES:
         raise ValueError(f"patch matrix needs {need} bytes, budget is {_MAX_PATCH_BYTES}")
-    out = np.empty((geom.n_pixels, d), dtype=np.float64)
-    for i in range(geom.d_s):
-        dr, dc = divmod(i, geom.s2)
-        shifted = np.roll(cube.values, (-dr, -dc), axis=(1, 2))
-        out[:, i * B : (i + 1) * B] = shifted.reshape(B, geom.n_pixels).T
-    return out
+    gather = np.stack([shift_permutation(geom, i) for i in range(geom.d_s)], axis=1)
+    return cube.unfold()[gather].reshape(geom.n_pixels, d)
 
 
-def _check_component(i: int, geom: PatchGeometry) -> None:
+def _component(band: np.ndarray, i: int, j: int, geom: PatchGeometry) -> np.ndarray:
+    """Component i's shift by j steps: output(p) = band(pixel j steps after p)."""
     if not 1 <= i <= geom.d_s:
         raise ValueError(f"component index must be in [1, {geom.d_s}], got {i}")
+    band = np.asarray(band)
+    if band.shape != (geom.m, geom.n):
+        raise ValueError(f"band must have shape {(geom.m, geom.n)}, got {band.shape}")
+    return band.reshape(-1)[shift_permutation(geom, j)].reshape(band.shape)
 
 
 def patch_component_apply(band: np.ndarray, i: int, geom: PatchGeometry) -> np.ndarray:
     """output(x) = input(x shifted by i-1): read the i-th patch component."""
-    _check_component(i, geom)
-    dr, dc = _offset(i - 1, geom.s2)
-    return np.roll(band, (-dr, -dc), axis=(0, 1))
+    return _component(band, i, i - 1, geom)
 
 
 def patch_component_adjoint(band: np.ndarray, i: int, geom: PatchGeometry) -> np.ndarray:
     """output(x) = input(x shifted by 1-i): exact adjoint of the i-th component."""
-    _check_component(i, geom)
-    dr, dc = _offset(i - 1, geom.s2)
-    return np.roll(band, (dr, dc), axis=(0, 1))
+    return _component(band, i, 1 - i, geom)

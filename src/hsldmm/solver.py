@@ -137,7 +137,8 @@ class _BandGraph:
 
 def _band_graph(wtilde: sp.spmatrix) -> _BandGraph:
     """Graph-only state of the band operators, built once per graph."""
-    if np.any(wtilde.data < 0.0):  # checked first: the add cancels a self weight of -1
+    # a NaN fails this too; checked first, as the add cancels a self weight of -1
+    if not np.all(wtilde.data >= 0.0):
         raise ValueError("graph weights must be non-negative")
     N = wtilde.shape[0]
     # the add rejects a graph that is not square and makes a private copy with
@@ -412,15 +413,13 @@ def ldmm_reconstruct(
         raise ValueError(f"cube dims {b.dims} do not match mask dims {masks.dims}")
     if u0.dims != b.dims:
         raise ValueError(f"initializer dims {u0.dims} do not match data dims {b.dims}")
-    counts = masks.counts()
-    if int(counts.min()) == 0:
-        empty = int(np.argmin(counts))
-        raise ValueError(f"band {empty} has no sampled pixels")
+    rates = masks.rates()
+    if float(rates.min()) == 0.0:
+        raise ValueError(f"band {int(np.argmin(rates))} has no sampled pixels")
     geom = PatchGeometry(cfg.s1, cfg.s2, b.m, b.n)
     n_pix = geom.n_pixels
     if cfg.k > n_pix:
         raise ValueError(f"k={cfg.k} exceeds pixel count {n_pix}")
-    rates = counts / float(n_pix)
     u = u0.values.copy()
     for it in range(1, cfg.outer_iters + 1):
         t0 = time.perf_counter()

@@ -446,6 +446,16 @@ def test_bar_w_self_weight_one():
     assert np.all(g.diagonal() == 1.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_bar_w_rejects_a_scale_that_is_not_finite_and_positive(bad):
+    table = knn_exact(cloud(16, 3, 7), 5)
+    sigma = local_scale(table, 3)
+    build_bar_w(table, sigma)
+    sigma[3] = bad
+    with pytest.raises(ValueError, match="sigma must be finite and positive"):
+        build_bar_w(table, sigma)
+
+
 def test_bar_w_closed_form_exp_minus_one():
     pts = np.array([[0.0], [1.0]])
     table = knn_exact(pts, 2)

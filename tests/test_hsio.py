@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hsldmm
 from hsldmm import DataCube, MaskSet, make_mask
 from hsldmm.hsio import (
     FormatError,
@@ -137,3 +143,47 @@ def test_many_random_roundtrips(tmp_path):
         pm = tmp_path / f"r{i}.mask.hsc"
         write_mask(pm, masks)
         assert np.array_equal(read_mask(pm).masks, masks.masks)
+
+
+# --- scripts/convert_raw_to_hsc.py ---------------------------------------------
+
+CONVERTER = Path(__file__).resolve().parents[1] / "scripts" / "convert_raw_to_hsc.py"
+
+
+def convert(raw, *args):
+    src = Path(hsldmm.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, str(CONVERTER), str(raw), "--m", "3", "--n", "5", *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_converter_round_trips_f32_and_u16_and_normalizes(tmp_path):
+    rng = np.random.default_rng(6)
+    for dtype, values in (("f32", rng.standard_normal(2 * 3 * 5).astype("<f4")),
+                          ("u16", rng.integers(0, 65536, 2 * 3 * 5).astype("<u2"))):
+        raw = tmp_path / f"{dtype}.raw"
+        values.tofile(raw)
+        want = values.astype(np.float64).reshape(2, 3, 5)
+        done = convert(raw, "--bands", "2", "--dtype", dtype, "-o", str(tmp_path / "a.hsc"))
+        assert done.returncode == 0, done.stderr
+        assert np.array_equal(read_cube(tmp_path / "a.hsc").values, want)
+        done = convert(raw, "--bands", "2", "--dtype", dtype, "--normalize",
+                       "-o", str(tmp_path / "b.hsc"))
+        assert done.returncode == 0, done.stderr
+        got = read_cube(tmp_path / "b.hsc").values
+        assert got.min() == 0.0 and got.max() == 1.0
+        scaled = (want - want.min()) / (want.max() - want.min())
+        assert np.array_equal(got, scaled.astype(np.float32))  # HSC stores float32
+
+
+def test_converter_size_mismatch_exits_1_naming_both_counts(tmp_path):
+    raw = tmp_path / "c.raw"
+    np.zeros(29, dtype="<f4").tofile(raw)
+    done = convert(raw, "--bands", "2", "-o", str(tmp_path / "c.hsc"))
+    assert done.returncode == 1
+    assert "29" in done.stderr and "30" in done.stderr
+    assert not (tmp_path / "c.hsc").exists()

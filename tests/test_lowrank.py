@@ -31,8 +31,6 @@ def low_rank(rng, shape, rank, scale, offset):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ApgConfig(mu_decay=1.0)
-    with pytest.raises(ValueError):
         ApgConfig(tol=0.0)
     with pytest.raises(ValueError):
         ApgConfig(mu_target=-1.0)

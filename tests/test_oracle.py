@@ -12,6 +12,7 @@ from hsldmm import (
     fd_gradient,
     synth_cube,
 )
+from hsldmm import _workers
 from hsldmm.oracle import selfcheck
 
 
@@ -156,6 +157,14 @@ def test_fd_gradient_validation():
 
 
 def test_selfcheck_passes(capsys):
-    assert selfcheck(verbose=True)
+    assert selfcheck()
     out = capsys.readouterr().out
     assert out.count("PASS") == 7 and "FAIL" not in out
+    assert f"kNN blocks and bands run on {_workers._pool_size()} process" in out.splitlines()[0]
+
+
+def test_selfcheck_header_names_one_process_on_one_cpu(monkeypatch, capsys):
+    monkeypatch.setattr(_workers, "_usable_cpus", lambda: 1)
+    assert selfcheck()
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.endswith("kNN blocks and bands run on 1 process, the caller alone")

@@ -158,6 +158,15 @@ def test_component_index_validation():
             patch_component_adjoint(band, bad, geom)
 
 
+def test_component_rejects_a_band_off_the_grid():
+    geom = PatchGeometry(2, 2, 6, 6)
+    for band in (np.arange(9.0).reshape(3, 3), np.zeros(36), np.zeros((6, 7))):
+        with pytest.raises(ValueError, match="band must have shape"):
+            patch_component_apply(band, 4, geom)
+        with pytest.raises(ValueError, match="band must have shape"):
+            patch_component_adjoint(band, 4, geom)
+
+
 def test_adjoint_identity_bitwise():
     # <P_i u, v> == <u, P_i* v> with a fixed summation order: the term
     # sequences are identical after reindexing, so sums match to 0 ulp.

@@ -243,7 +243,8 @@ def test_assemble_matches_sparse_product_form():
 
 def test_assemble_rejects_negative_weights():
     path = sp.csr_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 2.0], [0.0, 2.0, 1.0]]))
-    for x, y, w in ((0, 1, -0.5), (1, 1, -1.0)):  # an edge, then a self weight that + 1 cancels
+    # an edge, a self weight that + 1 cancels, and a NaN edge
+    for x, y, w in ((0, 1, -0.5), (1, 1, -1.0), (0, 1, math.nan)):
         wt = path.copy()
         wt[x, y] = w
         with pytest.raises(ValueError, match="non-negative"):
