@@ -1,4 +1,4 @@
-"""Command-line surface: synthesize, corrupt, reconstruct, evaluate, export.
+"""Command-line surface: synthesize, convert, corrupt, reconstruct, evaluate, export.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error, 3 numerical failure.
 Every command is deterministic given its flags.
@@ -17,11 +17,13 @@ import numpy as np
 
 from .datacube import DataCube, add_gaussian_noise, apply_mask, make_mask, psnr
 from .hsio import (
+    DTYPES,
     FormatError,
     export_band_csv,
     export_band_pgm,
     read_cube,
     read_mask,
+    read_raw_cube,
     write_cube,
     write_mask,
 )
@@ -124,6 +126,19 @@ def cmd_synth(args) -> int:
     cube = synth_cube(spec)
     write_cube(args.output, cube)
     print(f"m={cube.m} n={cube.n} B={cube.B} rank={args.rank} output={args.output}")
+    return 0
+
+
+def cmd_convert(args) -> int:
+    cube = read_raw_cube(args.input, args.m, args.n, args.bands, args.dtype)
+    if args.normalize:
+        lo, hi = cube.values.min(), cube.values.max()
+        scaled = cube.values - lo
+        if hi > lo:  # a constant cube maps to all zeros
+            scaled /= hi - lo
+        cube = DataCube(scaled)
+    write_cube(args.output, cube)
+    print(f"m={cube.m} n={cube.n} B={cube.B} output={args.output}")
     return 0
 
 
@@ -249,6 +264,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_synth)
+
+    p = sub.add_parser("convert", help="write a headerless band-sequential file as an HSC cube")
+    p.add_argument("input")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--bands", type=int, required=True)
+    p.add_argument("--dtype", choices=sorted(DTYPES), default="f32",
+                   help="little-endian element type of the input")
+    p.add_argument("--normalize", action="store_true",
+                   help="min-max scale the cube into [0, 1]")
+    p.add_argument("-o", "--output", required=True)
+    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("corrupt", help="add noise, then subsample")
     p.add_argument("input")

@@ -29,39 +29,40 @@ def _check_field_types(config) -> None:
             raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class DataCube:
-    """Dense hyperspectral volume.
+class _Grid:
+    """The (B, m, n) layout that cubes and masks share.
 
-    ``values`` has shape (B, m, n): each band is a contiguous row-major
-    m x n image, so the flat buffer is band-sequential. The array is copied
-    on construction and frozen; cubes are safe to share across threads.
+    Each band is a contiguous row-major m x n image, so the flat buffer is
+    band-sequential. A subclass is a frozen dataclass whose one field, named
+    by ``_field``, holds the array; it is copied to ``_dtype`` on
+    construction and frozen, so grids are safe to share across threads.
     """
 
-    values: np.ndarray
-
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, order="C")
+        arr = np.array(getattr(self, self._field), dtype=self._dtype, order="C")
+        kind = type(self).__name__
         if arr.ndim != 3:
-            raise ValueError(f"cube values must be 3-d (B, m, n), got shape {arr.shape}")
+            raise ValueError(f"{kind} array must be 3-d (B, m, n), got shape {arr.shape}")
         if min(arr.shape) < 1:
-            raise ValueError(f"cube dimensions must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("cube values must be finite")
+            raise ValueError(f"{kind} dimensions must be positive, got {arr.shape}")
         arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, self._field, arr)
+
+    @property
+    def _array(self) -> np.ndarray:
+        return getattr(self, self._field)
 
     @property
     def B(self) -> int:
-        return self.values.shape[0]
+        return self._array.shape[0]
 
     @property
     def m(self) -> int:
-        return self.values.shape[1]
+        return self._array.shape[1]
 
     @property
     def n(self) -> int:
-        return self.values.shape[2]
+        return self._array.shape[2]
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -70,12 +71,27 @@ class DataCube:
 
     def band(self, t: int) -> np.ndarray:
         """Read-only m x n view of band ``t`` (0-based)."""
-        return self.values[t]
+        return self._array[t]
 
     def unfold(self) -> np.ndarray:
         """(m*n) x B matrix; pixel order is row-major, one column per band."""
-        B, m, n = self.values.shape
-        return np.ascontiguousarray(self.values.reshape(B, m * n).T)
+        B, m, n = self._array.shape
+        return np.ascontiguousarray(self._array.reshape(B, m * n).T)
+
+
+@dataclass(frozen=True)
+class DataCube(_Grid):
+    """Dense hyperspectral volume: finite float64 ``values`` of shape (B, m, n),
+    copied on construction and frozen."""
+
+    values: np.ndarray
+    _field = "values"
+    _dtype = np.float64
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("cube values must be finite")
 
     @classmethod
     def from_unfolded(cls, mat: np.ndarray, m: int, n: int) -> "DataCube":
@@ -86,38 +102,12 @@ class DataCube:
 
 
 @dataclass(frozen=True)
-class MaskSet:
-    """Per-band boolean sampling masks over the spatial grid, immutable."""
+class MaskSet(_Grid):
+    """Per-band boolean sampling ``masks`` of shape (B, m, n), immutable."""
 
     masks: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.masks, dtype=bool, order="C")
-        if arr.ndim != 3:
-            raise ValueError(f"masks must be 3-d (B, m, n), got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ValueError(f"mask dimensions must be positive, got {arr.shape}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "masks", arr)
-
-    @property
-    def B(self) -> int:
-        return self.masks.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.masks.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.masks.shape[2]
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.m, self.n, self.B)
-
-    def band(self, t: int) -> np.ndarray:
-        return self.masks[t]
+    _field = "masks"
+    _dtype = bool
 
     def counts(self) -> np.ndarray:
         """Number of sampled pixels per band."""

@@ -1,10 +1,12 @@
-"""HSC container I/O and single-band export.
+"""HSC container I/O, headerless band-sequential input and single-band export.
 
 An HSC file is the magic ``HSC1\\n``, one UTF-8 header line
 ``m=<int> n=<int> B=<int> dtype=f32 order=bsq\\n``, then m*n*B little-endian
 32-bit floats in band-sequential order. Mask files use ``dtype=u8`` and one
 0/1 byte per voxel. Reads and writes are bit-exact over the format's domain;
-cube values are widened to float64 in memory.
+cube values are widened to float64 in memory. A headerless band-sequential
+file holds the same payload without magic or header, in any element type of
+the dtype table.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .datacube import DataCube, MaskSet
 __all__ = [
     "FormatError",
     "read_cube",
+    "read_raw_cube",
     "write_cube",
     "read_mask",
     "write_mask",
@@ -27,8 +30,10 @@ __all__ = [
 
 MAGIC = b"HSC1\n"
 PGM_MAXVAL = 65535
-# header dtype -> payload dtype
-_DTYPES = {"f32": np.dtype("<f4"), "u8": np.dtype(np.uint8)}
+# element type name -> little-endian payload dtype; HSC headers accept only
+# f32 cubes and u8 masks, headerless files any of them
+DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8"),
+          "u16": np.dtype("<u2"), "u8": np.dtype("u1")}
 
 
 class FormatError(ValueError):
@@ -68,7 +73,7 @@ def _parse_header(blob: bytes, path: Path) -> tuple[int, int, int, str, int]:
 def _write(path, values: np.ndarray, dtype: str) -> None:
     B, m, n = values.shape
     header = f"m={m} n={n} B={B} dtype={dtype} order=bsq\n".encode("ascii")
-    payload = np.ascontiguousarray(values, dtype=_DTYPES[dtype]).tobytes()
+    payload = np.ascontiguousarray(values, dtype=DTYPES[dtype]).tobytes()
     Path(path).write_bytes(MAGIC + header + payload)
 
 
@@ -79,22 +84,43 @@ def _read(path: Path, dtype: str, kind: str) -> np.ndarray:
     if got != dtype:
         raise FormatError(f"{path}: expected dtype={dtype} for a {kind}, got {got!r}")
     count = m * n * B
-    size = count * _DTYPES[dtype].itemsize
+    size = count * DTYPES[dtype].itemsize
     if len(blob) - off != size:
         raise FormatError(f"{path}: payload is {len(blob) - off} bytes, expected {size}")
-    return np.frombuffer(blob, dtype=_DTYPES[dtype], count=count, offset=off).reshape(B, m, n)
+    return np.frombuffer(blob, dtype=DTYPES[dtype], count=count, offset=off).reshape(B, m, n)
 
 
 def write_cube(path, cube: DataCube) -> None:
     _write(path, cube.values, "f32")
 
 
-def read_cube(path) -> DataCube:
-    path = Path(path)
-    values = _read(path, "f32", "cube")
+def _finite_cube(path: Path, values: np.ndarray) -> DataCube:
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: payload holds non-finite values")
     return DataCube(values.astype(np.float64))
+
+
+def read_cube(path) -> DataCube:
+    path = Path(path)
+    return _finite_cube(path, _read(path, "f32", "cube"))
+
+
+def read_raw_cube(path, m: int, n: int, B: int, dtype: str = "f32") -> DataCube:
+    """Read a headerless band-sequential file of m*n*B ``dtype`` elements.
+
+    A file whose size does not match the dimensions is a ``ValueError`` (the
+    dimensions come from the caller); a non-finite element is a ``FormatError``.
+    """
+    path = Path(path)
+    if min(m, n, B) < 1:
+        raise ValueError(f"dimensions must be positive, got m={m} n={n} B={B}")
+    blob = path.read_bytes()
+    count = m * n * B
+    held, stray = divmod(len(blob), DTYPES[dtype].itemsize)
+    if held != count or stray:
+        tail = f" and {stray} stray bytes" if stray else ""
+        raise ValueError(f"{path}: file holds {held} {dtype} elements{tail}, dims imply {count}")
+    return _finite_cube(path, np.frombuffer(blob, dtype=DTYPES[dtype]).reshape(B, m, n))
 
 
 def write_mask(path, masks: MaskSet) -> None:

@@ -224,7 +224,7 @@ def apg_complete(
         raise ValueError(f"cube dims {b.dims} do not match mask dims {masks.dims}")
     if int(masks.counts().min()) == 0:
         raise ValueError("every band needs at least one sampled voxel")
-    obs = np.ascontiguousarray(masks.masks.reshape(masks.B, -1).T)
+    obs = masks.unfold()
     data = np.where(obs, b.unfold(), 0.0)
     mu_target = cfg.mu_target
     if mu_target is None:

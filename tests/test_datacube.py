@@ -34,6 +34,20 @@ def test_cube_rejects_bad_input():
         DataCube(np.zeros((0, 2, 2)))
 
 
+@pytest.mark.parametrize("grid", [DataCube, MaskSet])
+def test_grid_rejects_bad_shapes_and_unfolds(grid):
+    with pytest.raises(ValueError, match="3-d"):
+        grid(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="positive"):
+        grid(np.ones((2, 0, 3)))
+    arr = np.random.default_rng(0).random((3, 4, 5)) < 0.5
+    got = grid(arr).unfold()
+    assert got.flags.c_contiguous and got.shape == (20, 3)
+    assert np.array_equal(got, arr.reshape(3, -1).T)
+    if grid is MaskSet:
+        assert got.dtype == bool
+
+
 def test_cube_is_immutable():
     cube = random_cube((2, 4, 4), 0)
     with pytest.raises(ValueError):

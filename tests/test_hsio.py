@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import hsldmm
 from hsldmm import DataCube, MaskSet, make_mask
+from hsldmm.cli import main
 from hsldmm.hsio import (
     FormatError,
     export_band_csv,
@@ -145,45 +140,67 @@ def test_many_random_roundtrips(tmp_path):
         assert np.array_equal(read_mask(pm).masks, masks.masks)
 
 
-# --- scripts/convert_raw_to_hsc.py ---------------------------------------------
-
-CONVERTER = Path(__file__).resolve().parents[1] / "scripts" / "convert_raw_to_hsc.py"
+# --- hsldmm convert -------------------------------------------------------------
 
 
 def convert(raw, *args):
-    src = Path(hsldmm.__file__).resolve().parents[1]
-    return subprocess.run(
-        [sys.executable, str(CONVERTER), str(raw), "--m", "3", "--n", "5", *args],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    return main(["convert", str(raw), "--m", "3", "--n", "5", *args])
 
 
-def test_converter_round_trips_f32_and_u16_and_normalizes(tmp_path):
-    rng = np.random.default_rng(6)
-    for dtype, values in (("f32", rng.standard_normal(2 * 3 * 5).astype("<f4")),
-                          ("u16", rng.integers(0, 65536, 2 * 3 * 5).astype("<u2"))):
-        raw = tmp_path / f"{dtype}.raw"
-        values.tofile(raw)
-        want = values.astype(np.float64).reshape(2, 3, 5)
-        done = convert(raw, "--bands", "2", "--dtype", dtype, "-o", str(tmp_path / "a.hsc"))
-        assert done.returncode == 0, done.stderr
-        assert np.array_equal(read_cube(tmp_path / "a.hsc").values, want)
-        done = convert(raw, "--bands", "2", "--dtype", dtype, "--normalize",
-                       "-o", str(tmp_path / "b.hsc"))
-        assert done.returncode == 0, done.stderr
-        got = read_cube(tmp_path / "b.hsc").values
-        assert got.min() == 0.0 and got.max() == 1.0
-        scaled = (want - want.min()) / (want.max() - want.min())
-        assert np.array_equal(got, scaled.astype(np.float32))  # HSC stores float32
+RAW = {
+    "f32": np.random.default_rng(6).standard_normal(30).astype("<f4"),
+    "f64": np.random.default_rng(7).standard_normal(30).astype("<f8"),
+    "u16": np.random.default_rng(8).integers(0, 65536, 30).astype("<u2"),
+    "u8": np.random.default_rng(9).integers(0, 256, 30).astype("u1"),
+}
 
 
-def test_converter_size_mismatch_exits_1_naming_both_counts(tmp_path):
+@pytest.mark.parametrize("dtype", sorted(RAW))
+def test_converter_round_trips_every_dtype_and_normalizes(tmp_path, capsys, dtype):
+    raw = tmp_path / f"{dtype}.raw"
+    RAW[dtype].tofile(raw)
+    want = RAW[dtype].astype(np.float64).reshape(2, 3, 5)
+    assert convert(raw, "--bands", "2", "--dtype", dtype, "-o", str(tmp_path / "a.hsc")) == 0
+    # HSC stores float32: exact for f32, u16 and u8, rounded for f64
+    assert np.array_equal(read_cube(tmp_path / "a.hsc").values, want.astype(np.float32))
+    assert convert(raw, "--bands", "2", "--dtype", dtype, "--normalize",
+                   "-o", str(tmp_path / "b.hsc")) == 0
+    got = read_cube(tmp_path / "b.hsc").values
+    assert got.min() == 0.0 and got.max() == 1.0
+    scaled = (want - want.min()) / (want.max() - want.min())
+    assert np.array_equal(got, scaled.astype(np.float32))
+    assert capsys.readouterr().err == ""
+
+
+def test_converter_normalizes_a_constant_cube_to_zeros(tmp_path):
+    raw = tmp_path / "c.raw"
+    np.full(30, 500.0, dtype="<f4").tofile(raw)
+    assert convert(raw, "--bands", "2", "--normalize", "-o", str(tmp_path / "c.hsc")) == 0
+    got = read_cube(tmp_path / "c.hsc").values
+    assert got.shape == (2, 3, 5) and np.array_equal(got, np.zeros_like(got))
+
+
+def test_converter_size_mismatch_exits_1_naming_both_counts(tmp_path, capsys):
     raw = tmp_path / "c.raw"
     np.zeros(29, dtype="<f4").tofile(raw)
-    done = convert(raw, "--bands", "2", "-o", str(tmp_path / "c.hsc"))
-    assert done.returncode == 1
-    assert "29" in done.stderr and "30" in done.stderr
+    assert convert(raw, "--bands", "2", "-o", str(tmp_path / "c.hsc")) == 1
+    err = capsys.readouterr().err
+    assert "29" in err and "30" in err
+    assert not (tmp_path / "c.hsc").exists()
+    raw.write_bytes(np.zeros(30, dtype="<f4").tobytes() + b"\0")
+    assert convert(raw, "--bands", "2", "-o", str(tmp_path / "c.hsc")) == 1
+    assert "30 f32 elements and 1 stray bytes" in capsys.readouterr().err
+    assert not (tmp_path / "c.hsc").exists()
+
+
+@pytest.mark.parametrize("dtype,bad", [("f32", np.nan), ("f64", np.inf)])
+def test_converter_rejects_non_finite_input_before_normalizing(tmp_path, capsys, dtype, bad):
+    raw = tmp_path / "c.raw"
+    values = np.arange(30, dtype=RAW[dtype].dtype)
+    values[17] = bad
+    values.tofile(raw)
+    assert convert(raw, "--bands", "2", "--dtype", dtype, "--normalize",
+                   "-o", str(tmp_path / "c.hsc")) == 2
+    err = capsys.readouterr().err
+    assert err == f"hsldmm: file format error: {raw}: payload holds non-finite values\n"
     assert not (tmp_path / "c.hsc").exists()
