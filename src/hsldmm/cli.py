@@ -147,6 +147,10 @@ def cmd_corrupt(args) -> int:
     # noise first, then subsampling: observed voxels carry noise
     noisy = add_gaussian_noise(cube, args.noise_sigma, args.seed)
     masks = make_mask(cube.dims, args.rate, args.seed + 1)
+    if masks.counts().min() == 0:  # reconstruct needs a sampled pixel in every band
+        raise ValueError(
+            f"rate {args.rate!r} samples no pixel of a band of {cube.m * cube.n} pixels"
+        )
     observed = apply_mask(noisy, masks)
     mask_path = args.mask_out or _default_mask_path(args.output)
     write_cube(args.output, observed)

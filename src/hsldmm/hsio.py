@@ -91,12 +91,23 @@ def _read(path: Path, dtype: str, kind: str) -> np.ndarray:
 
 
 def write_cube(path, cube: DataCube) -> None:
-    _write(path, cube.values, "f32")
+    """Write ``cube`` as an HSC file; a value past the float32 range raises
+    ``OverflowError`` and nothing is written."""
+    with np.errstate(over="ignore"):  # such a value casts to inf, checked below
+        payload = cube.values.astype(DTYPES["f32"])
+    if not np.isfinite(payload).all():
+        raise OverflowError(f"{path}: cube values lie past the float32 range")
+    _write(path, payload, "f32")
 
 
 def _finite_cube(path: Path, values: np.ndarray) -> DataCube:
-    if not np.isfinite(values).all():
-        raise FormatError(f"{path}: payload holds non-finite values")
+    """The payload as a cube, if every value is finite as the float32 that
+    an HSC file stores."""
+    with np.errstate(over="ignore"):  # a float64 past float32's range casts to inf
+        stored = values.astype(DTYPES["f32"], copy=False)
+    if not np.isfinite(stored).all():
+        what = "values past the float32 range" if np.isfinite(values).all() else "non-finite values"
+        raise FormatError(f"{path}: payload holds {what}")
     return DataCube(values.astype(np.float64))
 
 
@@ -109,7 +120,8 @@ def read_raw_cube(path, m: int, n: int, B: int, dtype: str = "f32") -> DataCube:
     """Read a headerless band-sequential file of m*n*B ``dtype`` elements.
 
     A file whose size does not match the dimensions is a ``ValueError`` (the
-    dimensions come from the caller); a non-finite element is a ``FormatError``.
+    dimensions come from the caller); an element that is not finite as float32
+    is a ``FormatError``.
     """
     path = Path(path)
     if min(m, n, B) < 1:

@@ -423,15 +423,19 @@ def ldmm_reconstruct(
     u = u0.values.copy()
     for it in range(1, cfg.outer_iters + 1):
         t0 = time.perf_counter()
+        # Each intermediate goes at its last reader, so that a round holds one
+        # stage's at a time and its peak is that of its largest stage, the kNN.
         patches = extract_patches(DataCube(u), geom)
         table = knn_exact(patches, cfg.k)
+        del patches
         sigma = local_scale(table, cfg.r_sigma)
         bar_w = build_bar_w(table, sigma)
+        del table, sigma
         wtilde = assemble_wtilde(bar_w, geom)
+        del bar_w
         mean_degree = float(wtilde.sum()) / n_pix
         lam = cfg.lambda_rel * mean_degree
         graph_secs = time.perf_counter() - t0
-        del patches, table, sigma, bar_w
         graph = _band_graph(wtilde)
         nnz = wtilde.nnz
         del wtilde  # the band graph holds its own copy of the weights
@@ -465,6 +469,7 @@ def ldmm_reconstruct(
                         }
                     )
                 u[t] = x.reshape(b.m, b.n)
+        del graph, solve  # before the next round extracts its patches
         if unconverged:
             warnings.warn(
                 f"iteration {it}: gmres stopped short of tolerance on bands "

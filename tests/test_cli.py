@@ -123,6 +123,16 @@ def test_corrupt_bad_rate_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_corrupt_rejects_a_rate_that_samples_no_pixel_of_a_band(tmp_path, capsys):
+    # floor(0.0005 * 32 * 32) = 0: reconstruct would reject every band
+    gt = make_gt(tmp_path, capsys, m=32, n=32)
+    obs = tmp_path / "obs.hsc"
+    code, out, err = run(["corrupt", str(gt), "--rate", "0.0005", "-o", str(obs)], capsys)
+    assert code == 1
+    assert out == "" and "0.0005" in err and "1024 pixels" in err
+    assert not obs.exists() and not (tmp_path / "obs.mask.hsc").exists()
+
+
 def test_corrupt_missing_input_is_io_error(tmp_path, capsys):
     code, _, err = run(
         ["corrupt", str(tmp_path / "absent.hsc"), "--rate", "0.5",

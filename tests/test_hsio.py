@@ -39,6 +39,15 @@ def test_cube_file_layout(tmp_path):
     assert np.array_equal(np.frombuffer(payload, "<f4"), np.arange(8.0, dtype="<f4"))
 
 
+def test_write_cube_rejects_values_past_float32_and_writes_nothing(tmp_path):
+    path = tmp_path / "c.hsc"
+    values = np.zeros((2, 3, 5))
+    values[1, 2, 4] = -1e300
+    with pytest.raises(OverflowError, match="float32"):
+        write_cube(path, DataCube(values))
+    assert not path.exists()
+
+
 def test_mask_roundtrip(tmp_path):
     masks = make_mask((6, 5, 3), 0.4, 1)
     path = tmp_path / "m.hsc"
@@ -203,4 +212,16 @@ def test_converter_rejects_non_finite_input_before_normalizing(tmp_path, capsys,
                    "-o", str(tmp_path / "c.hsc")) == 2
     err = capsys.readouterr().err
     assert err == f"hsldmm: file format error: {raw}: payload holds non-finite values\n"
+    assert not (tmp_path / "c.hsc").exists()
+
+
+def test_converter_rejects_f64_input_past_float32(tmp_path, capsys):
+    # finite as float64, but the HSC file would hold inf, which read_cube rejects
+    raw = tmp_path / "c.raw"
+    values = np.arange(30, dtype="<f8")
+    values[17] = 1e300
+    values.tofile(raw)
+    assert convert(raw, "--bands", "2", "--dtype", "f64", "-o", str(tmp_path / "c.hsc")) == 2
+    err = capsys.readouterr().err
+    assert err == f"hsldmm: file format error: {raw}: payload holds values past the float32 range\n"
     assert not (tmp_path / "c.hsc").exists()

@@ -6,6 +6,7 @@ import tempfile
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -632,6 +633,37 @@ def test_ldmm_builds_one_graph_per_iteration(monkeypatch):
         ldmm_reconstruct(b, masks, cfg, b)
         counts[B] = dict(calls)
     assert counts[2] == counts[5] == {"knn": 2, "bar": 2, "wtilde": 2, "band_graph": 2}
+
+
+def test_ldmm_frees_each_round_intermediate_at_its_last_reader(monkeypatch):
+    # a round's peak is its largest stage only if the patch matrix and the
+    # table are gone before the shift-sum, and a round's band graph before the
+    # next round's patches
+    refs = {"patches": [], "table": [], "band graph": []}
+    live = []  # the objects found alive where they should be gone
+
+    def tracked(real, keep=None, gone=()):
+        def wrapped(*args, **kwargs):
+            live.extend(f"{key} {i + 1}" for key in gone
+                        for i, ref in enumerate(refs[key]) if ref() is not None)
+            out = real(*args, **kwargs)
+            if keep is not None:
+                refs[keep].append(weakref.ref(out))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(solver_mod, "extract_patches",
+                        tracked(solver_mod.extract_patches, "patches", ("band graph",)))
+    monkeypatch.setattr(solver_mod, "knn_exact", tracked(solver_mod.knn_exact, "table"))
+    monkeypatch.setattr(solver_mod, "_band_graph", tracked(solver_mod._band_graph, "band graph"))
+    monkeypatch.setattr(solver_mod, "assemble_wtilde",
+                        tracked(solver_mod.assemble_wtilde, gone=("patches", "table")))
+    cube = synth_cube(SyntheticSpec(12, 12, 4, 2, smoothness=1.5, seed=25))
+    masks = make_mask(cube.dims, 0.3, 26)
+    b = apply_mask(cube, masks)
+    ldmm_reconstruct(b, masks, SolverConfig(k=8, r_sigma=4, outer_iters=2), b)
+    assert {key: len(r) for key, r in refs.items()} == {"patches": 2, "table": 2, "band graph": 2}
+    assert live == []
 
 
 def test_ldmm_logs_bands_and_psnr():
