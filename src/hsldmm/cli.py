@@ -87,9 +87,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_patch(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"patch must look like '2x2', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        if len(parts) == 2:
+            return int(parts[0]), int(parts[1])
+    except ValueError:
+        pass
+    raise ValueError(f"patch must look like '2x2', got {text!r}")
 
 
 def _load_config_file(path: Path) -> dict:

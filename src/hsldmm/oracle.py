@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter, gaussian_filter1d
 
 from .datacube import DataCube
 
@@ -35,7 +34,14 @@ DENSE_SOLVE_CAP = 4096
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a low-rank test cube: smooth abundance maps mixed with
-    smooth spectra, values in [0, 1], exact unfolded rank equal to ``rank``."""
+    smooth spectra, values in [0, 1].
+
+    The unfolded (m*n, B) matrix is a sum of ``rank`` products of a map and
+    a spectrum, so its rank is at most ``rank``; it can be lower when B is
+    close to ``rank``. Min-max scaling puts a 0 and a 1 in every spectrum: at B = 2
+    each spectrum is [0, 1] or [1, 0], so two components coincide half the
+    time, and at B = ``rank`` the spectra are dependent whenever all of them
+    take their minimum in the same band."""
 
     m: int
     n: int
@@ -53,14 +59,38 @@ class SyntheticSpec:
             raise ValueError(f"smoothness must be finite and non-negative, got {self.smoothness}")
 
 
+def _periodic_smooth(a: np.ndarray, sigma: float, axis: int) -> np.ndarray:
+    """Gaussian smoothing of ``a`` along ``axis`` with periodic ends.
+
+    Bitwise equal to scipy's ``gaussian_filter1d(a, sigma, axis,
+    mode="wrap")`` on float64 input: the same kernel (radius
+    ``int(4 sigma + 0.5)``, weights ``exp(-x^2 / (2 sigma^2))`` over their
+    sum) and the same order of operations (centre tap, then each pair of
+    taps summed and weighted, outermost first). A radius of 0 returns ``a``,
+    as scipy's one-tap kernel of weight 1 does, without forming 1/sigma^2.
+    """
+    r = int(4.0 * sigma + 0.5)
+    if r == 0:
+        return a
+    x = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * x**2)
+    w = w / w.sum()
+    n = a.shape[axis]
+    # one periodic copy padded by r on both ends, then a slice per tap
+    p = np.moveaxis(np.take(a, np.arange(-r, n + r) % n, axis=axis), axis, 0)
+    out = p[r:r + n] * w[r]
+    for j in range(r, 0, -1):
+        out += (p[r - j:r - j + n] + p[r + j:r + j + n]) * w[r - j]
+    return np.moveaxis(out, 0, axis)
+
+
 def synth_cube(spec: SyntheticSpec) -> DataCube:
     """Deterministic synthetic cube: sum over components of abundance(x) * spectrum(t)."""
     rng = np.random.default_rng(spec.seed)
     maps = np.empty((spec.rank, spec.m, spec.n))
     for l in range(spec.rank):
         a = rng.standard_normal((spec.m, spec.n))
-        if spec.smoothness > 0:
-            a = gaussian_filter(a, spec.smoothness, mode="wrap")
+        a = _periodic_smooth(_periodic_smooth(a, spec.smoothness, 0), spec.smoothness, 1)
         a -= a.min()
         maps[l] = a
     total = maps.sum(axis=0)
@@ -70,7 +100,7 @@ def synth_cube(spec: SyntheticSpec) -> DataCube:
     for l in range(spec.rank):
         s = rng.standard_normal(spec.B)
         if spec.B > 2:
-            s = gaussian_filter1d(s, max(1.0, spec.B / 8.0), mode="wrap")
+            s = _periodic_smooth(s, max(1.0, spec.B / 8.0), 0)
         lo, hi = s.min(), s.max()
         spectra[l] = (s - lo) / (hi - lo) if hi > lo else 0.5
     values = np.einsum("lmn,lt->tmn", maps, spectra)

@@ -298,6 +298,8 @@ def test_reconstruct_config_file_and_flag_precedence(tmp_path, capsys):
     ([], "seed=0\n"),
     (["--lambda-rel", "nan"], None),
     ([], "lambda_rel=nan\n"),
+    (["--patch", "2x"], None),
+    (["--patch", "axb"], None),
 ])
 def test_reconstruct_bad_option_is_usage_error_and_writes_nothing(tmp_path, capsys, flags, config):
     gt, obs, mask = corrupted(tmp_path, capsys)
@@ -305,8 +307,11 @@ def test_reconstruct_bad_option_is_usage_error_and_writes_nothing(tmp_path, caps
         (tmp_path / "run.cfg").write_text(config)
         flags = flags + ["--config", str(tmp_path / "run.cfg")]
     rec = tmp_path / "rec.hsc"
-    code, _, _ = run(["reconstruct", str(obs), str(mask), "-o", str(rec), *flags], capsys)
+    code, _, err = run(["reconstruct", str(obs), str(mask), "-o", str(rec), *flags], capsys)
     assert code == 1
+    if "--patch" in flags:
+        text = flags[flags.index("--patch") + 1]
+        assert f"hsldmm: patch must look like '2x2', got {text!r}" in err
     assert not rec.exists() and not (tmp_path / "rec.manifest").exists()
 
 
