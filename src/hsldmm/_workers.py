@@ -1,14 +1,21 @@
 """Worker processes for the data-parallel loops of a reconstruction round:
 the kNN row blocks and the band solves.
 
-``_in_order`` deals a loop's calls by interleave to P processes: call i runs
-in process i mod P. Process 0 is the caller; the others are children forked
-for the loop, which send each result, or the exception that ends their
-share, back through a pipe; with P = 1 the same loop forks no child. A
-child shares the loop's inputs copy-on-write and keeps the caller's
-``np.errstate``. Threads overlapped poorly, because the Python-level steps
-of GMRES and of the kNN settle hold the interpreter lock; a spawned worker
-would pay about 0.8 s of start-up per loop.
+``_in_order`` runs a loop's calls on P processes that take them on demand:
+each process, the caller included, takes the next untaken call whenever it
+is free. The calls are 4-byte tickets in one pipe, taken in index order,
+which the caller fills. The other P - 1 processes are children forked for
+the loop; each sends back through a pipe of its own the index of each call
+it takes, then the result, or the exception that ends its share. The caller
+yields the results in call order, so nothing downstream depends on P or on
+which process ran a call; with P = 1 it runs the calls in turn and forks
+nothing. A child shares the loop's inputs copy-on-write and keeps the
+caller's ``np.errstate``. Threads overlapped poorly, because the
+Python-level steps of GMRES and of the kNN settle hold the interpreter lock;
+a spawned worker would pay about 0.8 s of start-up per loop. A fixed deal,
+call i in process i mod P, kept the processes in near lockstep: a result of
+about 51 KB nearly fills a 64 KiB pipe, so a child could run at most one
+call ahead of the caller's turn.
 
 OpenBLAS runs on one thread inside the loops, so that the processes do not
 contend with BLAS's own pool and results do not depend on P.
@@ -24,10 +31,10 @@ from __future__ import annotations
 
 import ctypes
 import os
+import select
 import signal
 import traceback
-from contextlib import contextmanager
-from multiprocessing import Pipe
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -87,16 +94,41 @@ def _pool_size() -> int:
     return _usable_cpus() if _forks() else 1
 
 
-def _serve(fn, calls, writer):
-    """A child's share of a loop: send (True, result) per call, or
-    (False, exception) and stop. Ends the process; never returns."""
+def _outcome(fn, i):
+    """(True, fn(i)), or (False, the exception it raised)."""
+    try:
+        return True, fn(i)
+    except Exception as exc:
+        return False, exc
+
+
+def _take(tickets: int, block: bool):
+    """The next untaken call index from the ticket pipe, which is
+    non-blocking in every process; None once the pipe is closed and empty,
+    and, unless ``block``, while it is empty. A read gets a whole ticket or
+    none, as every write is of whole tickets and atomic."""
+    while True:
+        try:
+            ticket = os.read(tickets, 4)
+        except BlockingIOError:
+            if not block:
+                return None
+            from multiprocessing.connection import wait  # loaded before the fork
+
+            wait([tickets])
+            continue
+        return int.from_bytes(ticket, "little") if ticket else None
+
+
+def _serve(fn, tickets, writer):
+    """A child's share of a loop: per ticket, send its index, then
+    (True, result), or (False, exception) and stop. Ends the process; never
+    returns."""
     code = 1
     try:
-        for i in calls:
-            try:
-                message = (True, fn(i))
-            except Exception as exc:
-                message = (False, exc)
+        while (i := _take(tickets, block=True)) is not None:
+            writer.send(i)
+            message = _outcome(fn, i)
             writer.send(message)
             if not message[0]:
                 break
@@ -109,44 +141,111 @@ def _serve(fn, calls, writer):
 
 def _in_order(fn, count: int, workers: int, what: str):
     """Yield fn(0), ..., fn(count - 1) in that order, with BLAS on one
-    thread, dealt to ``workers`` processes as the module docstring says.
+    thread, on ``workers`` processes that take the calls on demand, as the
+    module docstring says.
 
     An exception is raised when its call's turn comes. A child that ends
-    before sending the result of call i raises ``NumericalError`` naming
+    while it holds call i raises ``NumericalError`` at i's turn, naming
     ``what``, i and the signal or exit status. Any end of the generator,
     an error or a close included, kills the children still running and
     reaps every child.
     """
     workers = min(workers, count) if _forks() else 1
     with _one_blas_thread():
-        children = []  # (pid, reader) of the processes for residues 1, 2, ...
-        try:
-            for j in range(1, workers):
-                reader, writer = Pipe(duplex=False)
-                pid = os.fork()
-                if pid == 0:
-                    _serve(fn, range(j, count, workers), writer)
-                children.append((pid, reader))
-                writer.close()  # before the next fork: each write end has one owner
+        if workers == 1:
             for i in range(count):
-                if i % workers == 0:
-                    yield fn(i)
-                    continue
-                pid, reader = children[i % workers - 1]
+                yield fn(i)
+            return
+        import fcntl  # POSIX only, as is os.fork
+        from multiprocessing.connection import Pipe, wait  # only a loop that forks loads it
+
+        tickets, dealer = os.pipe()
+        os.set_blocking(tickets, False)  # for the caller; a child waits for a ticket
+        os.set_blocking(dealer, False)
+        dealt = 0  # tickets written
+        children = {}  # reader -> pid, for each child not yet reaped
+        held = {}  # reader -> the call its child took and has not answered
+        done = {}  # call -> (ok, result or exception), until its turn
+        dropped = None  # how a child ended that held no call, as it may have read a ticket
+
+        def deal():
+            nonlocal dealt, dealer
+            while dealt < count:
+                stop = min(count, dealt + select.PIPE_BUF // 4)
+                try:  # all or nothing: at most PIPE_BUF bytes
+                    os.write(dealer, np.arange(dealt, stop, dtype="<u4").tobytes())
+                except BlockingIOError:  # full; the processes hold tickets to take
+                    return
+                dealt = stop
+            if dealer is not None:
+                os.close(dealer)  # a process that finds the pipe empty then reads EOF
+                dealer = None
+
+        def receive(timeout) -> bool:
+            """Take in what the children sent, waiting up to ``timeout``
+            for the first; whether anything came."""
+            nonlocal dropped
+            ready = wait(list(children), timeout)
+            for reader in ready:
                 try:
-                    ok, value = reader.recv()
-                except EOFError:
+                    message = reader.recv()
+                except (EOFError, OSError):  # OSError: it ended inside a message
+                    pid = children.pop(reader)
+                    reader.close()
                     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    children[i % workers - 1] = (None, reader)  # reaped
                     how = (f"was killed by {signal.Signals(-code).name}" if code < 0
                            else f"exited with status {code}")
-                    raise NumericalError(f"{what} {i}: its worker process {how}") from None
+                    if reader in held:
+                        i = held.pop(reader)
+                        done[i] = (False, NumericalError(f"{what} {i}: its worker process {how}"))
+                    elif code:
+                        dropped = how
+                    continue
+                if isinstance(message, int):
+                    held[reader] = message
+                else:
+                    done[held.pop(reader)] = message
+            return bool(ready)
+
+        try:
+            deal()
+            for _ in range(1, workers):
+                reader, writer = Pipe(duplex=False)
+                # Where Linux allows, room for a whole result, so that a child
+                # need not wait for the caller to end its own call and read
+                # it: a band at 128x128 is 128 KiB, the default pipe 64 KiB.
+                # The band stages of three rounds at 128x128x32 fell from a
+                # median 2.49 to 2.08 s (six runs each, 2 vCPU).
+                with suppress(AttributeError, OSError):  # not Linux, or past its pipe-max-size
+                    fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+                pid = os.fork()
+                if pid == 0:
+                    if dealer is not None:
+                        os.close(dealer)
+                    _serve(fn, tickets, writer)
+                children[reader] = pid
+                writer.close()  # before the next fork: each write end has one owner
+            for turn in range(count):
+                while turn not in done:
+                    if children and receive(0):
+                        continue
+                    deal()
+                    i = _take(tickets, block=False)
+                    if i is not None:
+                        done[i] = _outcome(fn, i)
+                    elif children:  # the turn's call is in a child
+                        receive(None)
+                    else:  # a child died between reading its ticket and sending it
+                        raise NumericalError(f"{what} {turn}: its worker process {dropped}")
+                ok, value = done.pop(turn)
                 if not ok:
                     raise value
                 yield value
         finally:
-            for pid, reader in children:
+            for reader, pid in children.items():
                 reader.close()
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)  # on a normal end it has sent all it had
-                    os.waitpid(pid, 0)
+                os.kill(pid, signal.SIGKILL)  # on a normal end it has sent all it had
+                os.waitpid(pid, 0)
+            os.close(tickets)
+            if dealer is not None:
+                os.close(dealer)

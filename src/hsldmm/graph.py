@@ -52,10 +52,6 @@ class NeighborTable:
 # in 128-192 and 0.30 s in 256; at N = 16 384, 2.34 s in 16-row blocks and
 # 1.46-1.50 s in 128-256.
 _GEMM_ROWS = 160
-# Blocks per process at least, so that the processes' loads stay even: at
-# N = 2304, d = 96, a call took 0.061 s in 455-row blocks (three per
-# process) against 0.053 s in 160-row ones.
-_MIN_BLOCKS = 4
 # Band entries per settle chunk, in each process: the 256 KiB of float64
 # that each of two processes had when a 512 KiB budget for all of them was
 # as fast or faster than 1 MiB, 256 and 128 KiB on every benchmark workload.
@@ -90,13 +86,13 @@ def _screen_bytes(N: int, d: int, rows: int) -> int:
     return (4 * d + 32 + 5 * rows) * N + _SETTLE_BYTES * max(_CHUNK_ENTRIES, N)
 
 
-def _block_rows(N: int, d: int, workers: int) -> int:
-    """Rows per screen block for N rows of d entries on ``workers``
-    processes: ``_GEMM_ROWS``, fewer if that would leave a process fewer
-    than ``_MIN_BLOCKS`` blocks, and fewer still if the screen would pass
-    ``_scratch_bound``, which leaves room for one row at any N and d."""
+def _block_rows(N: int, d: int) -> int:
+    """Rows per screen block for N rows of d entries: ``_GEMM_ROWS``, or N
+    if fewer, and fewer still if the screen would pass ``_scratch_bound``,
+    which leaves room for one row at any N and d. The processes take the
+    blocks on demand, so their loads stay even without more blocks."""
     room = (_scratch_bound(N, d) - _screen_bytes(N, d, 0)) // (5 * N)
-    return min(_GEMM_ROWS, max(1, N // (_MIN_BLOCKS * workers)), room)
+    return min(_GEMM_ROWS, N, room)
 
 
 def _pair_sq_dists(P: np.ndarray, x: np.ndarray, y: np.ndarray, budget: int) -> np.ndarray:
@@ -176,8 +172,8 @@ def knn_exact(patches: np.ndarray, k: int) -> NeighborTable:
     the squared norms of ``Q`` summed in float64, and its rows are settled
     as in ``_smallest_k``.
 
-    The blocks are dealt to one process per usable CPU, with BLAS pinned to
-    one thread (see ``_workers``). Each process fills its own copy of the
+    One process per usable CPU takes the blocks on demand, with BLAS pinned
+    to one thread (see ``_workers``). Each process fills its own copy of the
     scratch this call allocates, which ``_block_rows`` keeps within
     ``_scratch_bound`` before it is allocated. The table does not depend on
     the number of processes or the block size.
@@ -224,7 +220,7 @@ def _knn_exact(patches: np.ndarray, k: int, workers: int) -> NeighborTable:
     under = math.ldexp(2.0 * d * np.finfo(np.float64).tiny, min(2 * s, 1030))
     tol = 2.0 * (d + 10) * (u * (q2 + q2.max()) + 10.0 * t) + under
     zero = ~P.any(axis=1)
-    block_rows = _block_rows(N, d, workers)
+    block_rows = _block_rows(N, d)
     starts = range(0, N, block_rows)
     screen = np.empty((block_rows, N), np.float32)
     # a quarter block for the partitioned copy was as fast as a whole one

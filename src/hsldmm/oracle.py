@@ -304,7 +304,7 @@ def _check_band_workers() -> bool:
     from .patch import PatchGeometry, extract_patches
     from .solver import SolverConfig, _band_graph, _gmres, assemble_band_system
 
-    # one outer iteration's kNN table (four row blocks) and band solves on
+    # one outer iteration's kNN table (seven row blocks) and band solves on
     # one and on two processes; bitwise equality needs the installed BLAS to
     # answer a forked child as it answers the caller
     cube = synth_cube(SyntheticSpec(32, 32, 6, 2, smoothness=1.0, seed=4))

@@ -401,13 +401,13 @@ def ldmm_reconstruct(
     kNN similarity graph on the spatial grid, shift-sums it, and then solves
     the per-band systems by warm-started GMRES. All bands in an iteration
     share the same graph; that sharing is what keeps the cost flat in the
-    number of bands, and it lets the bands be dealt to one process per
-    usable CPU, as the kNN row blocks are (see ``_workers``). Results, log
-    records, warnings and errors are taken in band order, so the output
-    does not depend on the number of processes. OpenBLAS stays on one
-    thread for the whole call, and the caller's count comes back at its
-    end. ``ref`` adds per-iteration PSNR to ``log`` and is not read
-    without it.
+    number of bands, and it lets one process per usable CPU take the bands
+    on demand, as it takes the kNN row blocks (see ``_workers``). Results,
+    log records, warnings and errors are taken in band order, so the output
+    does not depend on the number of processes or on which one ran a band.
+    OpenBLAS stays on one thread for the whole call, and the caller's count
+    comes back at its end. ``ref`` adds per-iteration PSNR to ``log`` and is
+    not read without it.
     """
     if b.dims != masks.dims:
         raise ValueError(f"cube dims {b.dims} do not match mask dims {masks.dims}")

@@ -67,7 +67,7 @@ def test_knn_is_bitwise_oracle_on_clustered_offset_data():
 def block_sizes(n):
     """Stand-ins for graph._block_rows giving 1-row, 7-row and whole-matrix
     screen blocks."""
-    return [lambda N, d, workers, rows=rows: min(rows, N) for rows in (1, 7, n)]
+    return [lambda N, d, rows=rows: min(rows, N) for rows in (1, 7, n)]
 
 
 @settings(max_examples=40)
@@ -162,7 +162,7 @@ def test_knn_workers_are_bitwise_oracle(n, d, offset, zero_frac, block_rows, see
     for workers in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             # block_rows rows per worker's block; settle chunks of a few rows
-            mp.setattr(graph, "_block_rows", lambda N, d, w: min(block_rows, N))
+            mp.setattr(graph, "_block_rows", lambda N, d: min(block_rows, N))
             mp.setattr(graph, "_CHUNK_ENTRIES", 8)
             table = graph._knn_exact(pts, k, workers)
         assert np.array_equal(table.indices, idx)
@@ -173,15 +173,10 @@ def test_knn_workers_are_bitwise_oracle(n, d, offset, zero_frac, block_rows, see
 @given(
     N=st.integers(1, 10**6),
     d=st.integers(1, 4096),
-    workers=st.integers(1, 256),
 )
-def test_block_rows_rule(N, d, workers):
-    rows = graph._block_rows(N, d, workers)
+def test_block_rows_rule(N, d):
+    rows = graph._block_rows(N, d)
     assert 1 <= rows <= min(N, graph._GEMM_ROWS)
-    if N >= graph._MIN_BLOCKS * workers:
-        # block i runs in process i mod workers, so the fewest any gets is
-        # the block count over the workers, rounded down
-        assert -(-N // rows) // workers >= graph._MIN_BLOCKS
     assert graph._screen_bytes(N, d, rows) <= graph._scratch_bound(N, d)
 
 
@@ -213,7 +208,7 @@ def test_knn_scratch_stays_within_its_bound(kind, n, d, k):
     finally:
         tracemalloc.stop()
     assert table.indices.shape == (n, k)
-    rows = graph._block_rows(n, d, 1)
+    rows = graph._block_rows(n, d)
     # besides the scratch: the table, and two blocks' slices of it, the one
     # being settled and the one the block loop still holds
     assert peak <= graph._scratch_bound(n, d) + 16 * n * k + 2 * 16 * rows * k
@@ -231,19 +226,17 @@ def fake_pin(monkeypatch, count=4):
     return state
 
 
-def traced_select(monkeypatch, log, state=None, fail_from=None):
+def traced_select(monkeypatch, log, state=None):
     """Wrap graph._smallest_k: append to the file ``log`` one line per call
     with the id of the process that runs it, the BLAS thread count it sees
     and its first and last row (a forked child's memory does not reach the
-    caller); divide by zero on the block that holds row ``fail_from``."""
+    caller)."""
     real = graph._smallest_k
 
     def select(D, k, P, rows, *args):
         record = [os.getpid(), state and state["threads"], int(rows[0]), int(rows[-1])]
         with open(log, "a") as f:
             f.write(json.dumps(record) + "\n")
-        if fail_from is not None and rows[0] <= fail_from <= rows[-1]:
-            np.float64(1.0) / np.float64(0.0)
         return real(D, k, P, rows, *args)
 
     monkeypatch.setattr(graph, "_smallest_k", select)
@@ -255,33 +248,33 @@ def select_calls(log):
     return [tuple(json.loads(line)) for line in log.read_text().splitlines()]
 
 
-def test_knn_runs_blocks_on_pinned_workers_and_restores_the_count(monkeypatch, tmp_path):
+def test_knn_runs_blocks_on_pinned_workers_and_restores_the_count(monkeypatch, tmp_path, forks):
     pts = cloud(120, 4, 5)
     idx, d2 = naive_knn(pts, 6)
     state = fake_pin(monkeypatch)
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(graph, "_block_rows", lambda N, d, workers: 8)  # 15 blocks of 8 rows
+    monkeypatch.setattr(graph, "_block_rows", lambda N, d: 8)  # 15 blocks of 8 rows
     log = tmp_path / "select.log"
     traced_select(monkeypatch, log, state)
     table = knn_exact(pts, 6)
     seen = select_calls(log)
     assert np.array_equal(table.indices, idx)
     assert np.array_equal(table.sq_dists, d2)
-    assert len(seen) == 15 and {threads for _, threads, _, _ in seen} == {1}
-    # block i ran in process i mod 3: the caller and two forked children
-    pid_of = {first // 8: pid for pid, _, first, _ in seen}
-    assert len(set(pid_of.values())) == 3
-    assert all(pid_of[i] == pid_of[i % 3] for i in range(15))
-    assert pid_of[0] == os.getpid()
+    assert {threads for _, threads, _, _ in seen} == {1}
+    # each block ran once, in the caller or in one of two forked children
+    assert sorted(first for _, _, first, _ in seen) == list(range(0, 120, 8))
+    assert len(forks) == 2
+    assert {pid for pid, _, _, _ in seen} <= {os.getpid(), *forks}
     assert state["threads"] == 4  # the caller's count is back
 
 
 def test_knn_without_the_pin_runs_on_one_worker(monkeypatch, tmp_path):
     pts = cloud(120, 4, 6)
-    # 8 rows shared out: 2-row blocks on three processes, 8-row ones on one
-    monkeypatch.setattr(graph, "_block_rows", lambda N, d, workers: 8 // workers)
+    # 2-row blocks on three processes, 8-row ones on one
+    monkeypatch.setattr(graph, "_block_rows", lambda N, d: 2)
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
     pinned = knn_exact(pts, 6)
+    monkeypatch.setattr(graph, "_block_rows", lambda N, d: 8)
     monkeypatch.setattr(_workers, "_pin", None)  # numpy without the symbol
     assert _workers._pool_size() == 1
     log = tmp_path / "select.log"
@@ -301,41 +294,49 @@ def test_loops_without_fork_run_on_the_caller(monkeypatch):
     assert calls == [(i, os.getpid()) for i in range(5)]
 
 
-def test_knn_workers_keep_the_callers_errstate(monkeypatch, tmp_path):
+def test_knn_workers_keep_the_callers_errstate(monkeypatch, first_child):
     fake_pin(monkeypatch)
-    # 8 rows shared out: 2-row blocks on three processes, 8-row ones on one
-    monkeypatch.setattr(graph, "_block_rows", lambda N, d, workers: 8 // workers)
-    log = tmp_path / "select.log"
-    traced_select(monkeypatch, log, fail_from=100)
+    real = graph._smallest_k
     pts = cloud(120, 4, 7)
     found = []
     for cpus in (1, 3):
+
+        def select(D, k, P, rows, *args):
+            if cpus == 1:  # the caller alone: the block that holds row 100
+                divide = rows[0] <= 100 <= rows[-1]
+            else:  # the first block that a child takes
+                divide = first_child.claim(int(rows[0]))
+            if divide:
+                np.float64(1.0) / np.float64(0.0)
+            return real(D, k, P, rows, *args)
+
+        monkeypatch.setattr(graph, "_smallest_k", select)
         monkeypatch.setattr(_workers, "_usable_cpus", lambda: cpus)
-        log.write_text("")
+        # 2-row blocks on three processes, 8-row ones on one
+        monkeypatch.setattr(graph, "_block_rows", lambda N, d: 8 // cpus)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError) as exc:
             knn_exact(pts, 6)
         found.append(str(exc.value))
-        # on three processes the failing block (rows 100-101, block 50) runs in a child
-        failing = [pid for pid, _, first, last in select_calls(log) if first <= 100 <= last]
-        assert (failing == [os.getpid()]) == (cpus == 1)
+    assert first_child.label()  # a child divided
     assert found[0] == found[1]
 
 
-def test_knn_worker_killed_by_a_signal_names_the_block(monkeypatch):
+def test_knn_worker_killed_by_a_signal_names_the_block(monkeypatch, first_child):
     fake_pin(monkeypatch)
     monkeypatch.setattr(_workers, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(graph, "_block_rows", lambda N, d, workers: 8)  # 15 blocks of 8 rows
-    caller, real = os.getpid(), graph._smallest_k
+    monkeypatch.setattr(graph, "_block_rows", lambda N, d: 8)  # 15 blocks of 8 rows
+    real = graph._smallest_k
 
     def select(D, k, P, rows, *args):
-        if rows[0] == 8 and os.getpid() != caller:  # block 1, dealt to a child
+        if first_child.claim(rows[0] // 8):  # the first block a child takes
             os.kill(os.getpid(), signal.SIGKILL)
         return real(D, k, P, rows, *args)
 
     monkeypatch.setattr(graph, "_smallest_k", select)
     with pytest.raises(NumericalError) as exc:
         knn_exact(cloud(120, 4, 8), 6)
-    assert str(exc.value) == "kNN row block 1: its worker process was killed by SIGKILL"
+    block = first_child.label()
+    assert str(exc.value) == f"kNN row block {block}: its worker process was killed by SIGKILL"
     with pytest.raises(ChildProcessError):  # every child was reaped
         os.waitpid(-1, os.WNOHANG)
 

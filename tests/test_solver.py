@@ -786,14 +786,16 @@ def assert_no_child_left():
 
 
 @pytest.mark.parametrize("budget", [500, 1])
-def test_ldmm_threaded_bands_match_serial(monkeypatch, tmp_path, budget):
+def test_ldmm_threaded_bands_match_serial(monkeypatch, tmp_path, forks, budget):
     cfg = SolverConfig(k=8, r_sigma=4, outer_iters=2, gmres_max_iters=budget)
     out, log, msgs, calls = reconstruct_small(monkeypatch, tmp_path, False, cfg)
     out_t, log_t, msgs_t, calls_t = reconstruct_small(monkeypatch, tmp_path, True, cfg)
     assert {pid for pid, _ in calls} == {os.getpid()}
-    # band t ran in process t mod 3: the caller, and two children per round
-    assert all((pid == os.getpid()) == (t % 3 == 0) for pid, t in calls_t)
-    assert len({pid for pid, _ in calls_t}) == 5
+    # each band ran once a round, in the caller or in a child; each round's
+    # band loop forked two (its kNN of 64 rows is one block and forks none)
+    assert sorted(t for _, t in calls_t) == sorted(list(range(5)) * 2)
+    assert len(forks) == 4
+    assert {pid for pid, _ in calls_t} <= {os.getpid(), *forks}
     assert np.array_equal(out.values, out_t.values)
     assert log.bands == log_t.bands
     assert [r["band"] for r in log_t.bands] == list(range(5)) * 2
@@ -820,26 +822,28 @@ def test_ldmm_threaded_bands_raise_the_first_error_in_band_order(monkeypatch, tm
         assert [r["band"] for r in log.bands] == [0, 1, 2]
 
 
-def test_ldmm_threaded_bands_keep_the_callers_errstate(monkeypatch, tmp_path):
-    def dividing_gmres(system, x0, cfg):
-        if system.band == 4:  # a child's band on three processes
-            np.float64(1.0) / np.float64(0.0)
-        return _gmres(system, x0, cfg)
-
+def test_ldmm_threaded_bands_keep_the_callers_errstate(monkeypatch, tmp_path, first_child):
     cfg = SolverConfig(k=8, r_sigma=4, outer_iters=1)
     found = []
     for parallel in (False, True):
+
+        def dividing_gmres(system, x0, cfg):
+            # alone, the caller divides on band 4; on three processes, the
+            # first child to take a band divides
+            if first_child.claim(system.band) if parallel else system.band == 4:
+                np.float64(1.0) / np.float64(0.0)
+            return _gmres(system, x0, cfg)
+
         with np.errstate(all="raise"), pytest.raises(FloatingPointError) as exc:
             reconstruct_small(monkeypatch, tmp_path, parallel, cfg, dividing_gmres)
         found.append(str(exc.value))
+    assert first_child.label()  # a child divided
     assert found[0] == found[1]
 
 
-def test_ldmm_band_worker_killed_by_a_signal_names_the_band(monkeypatch, tmp_path):
-    caller = os.getpid()
-
+def test_ldmm_band_worker_killed_by_a_signal_names_the_band(monkeypatch, tmp_path, first_child):
     def dying_gmres(system, x0, cfg):
-        if system.band == 4 and os.getpid() != caller:
+        if first_child.claim(system.band):  # the first band a child takes
             os.kill(os.getpid(), signal.SIGKILL)
         return _gmres(system, x0, cfg)
 
@@ -847,29 +851,39 @@ def test_ldmm_band_worker_killed_by_a_signal_names_the_band(monkeypatch, tmp_pat
     cfg = SolverConfig(k=8, r_sigma=4, outer_iters=1)
     with pytest.raises(NumericalError) as exc:
         reconstruct_small(monkeypatch, tmp_path, True, cfg, dying_gmres, log)
-    assert str(exc.value) == "iteration 1, band 4: its worker process was killed by SIGKILL"
-    assert [r["band"] for r in log.bands] == [0, 1, 2, 3]
+    band = int(first_child.label())
+    assert str(exc.value) == f"iteration 1, band {band}: its worker process was killed by SIGKILL"
+    assert [r["band"] for r in log.bands] == list(range(band))
     assert_no_child_left()
 
 
 def test_ldmm_error_in_the_callers_share_reaps_the_running_children(monkeypatch, tmp_path):
-    caller = os.getpid()
+    caller, failed = os.getpid(), tmp_path / "failed"
 
     def gmres(system, x0, cfg):
+        if os.getpid() == caller and not failed.exists():  # the first band the caller takes
+            (tmp_path / "band").write_text(str(system.band))
+            os.replace(tmp_path / "band", failed)
+            raise NumericalError(f"zero diagonal entry at row 0 of band {system.band}")
         if os.getpid() != caller:
-            time.sleep(60)  # still running when the caller fails, unless killed
-        elif system.band == 0:
-            raise NumericalError("zero diagonal entry at row 0 of band 0")
+            # a child holds its band until the caller fails: an earlier band
+            # then runs, so that the caller's error comes first in band order,
+            # and a later one is still running when it ends the loop
+            while not failed.exists():
+                time.sleep(0.001)
+            if system.band > int(failed.read_text()):
+                time.sleep(60)  # unless killed
         return _gmres(system, x0, cfg)
 
     start = time.monotonic()
-    with pytest.raises(NumericalError, match="band 0$"):
+    with pytest.raises(NumericalError) as exc:
         reconstruct_small(monkeypatch, tmp_path, True, SolverConfig(k=8, r_sigma=4), gmres)
+    assert str(exc.value).endswith(f"band {failed.read_text()}")
     assert time.monotonic() - start < 30  # the children were killed, not waited for
     assert_no_child_left()
 
 
-def test_ldmm_pins_blas_once_per_call_and_no_child_pins(monkeypatch, tmp_path):
+def test_ldmm_pins_blas_once_per_call_and_no_child_pins(monkeypatch, tmp_path, forks):
     pins = tmp_path / "pins.log"
 
     def counting_pin(threads):
@@ -878,12 +892,12 @@ def test_ldmm_pins_blas_once_per_call_and_no_child_pins(monkeypatch, tmp_path):
         return 4
 
     monkeypatch.setattr(_workers, "_pin", counting_pin)
-    monkeypatch.setattr(graph_mod, "_block_rows", lambda N, d, workers: 8)  # 8 kNN blocks of 8 rows
+    monkeypatch.setattr(graph_mod, "_block_rows", lambda N, d: 8)  # 8 kNN blocks of 8 rows
     cfg = SolverConfig(k=8, r_sigma=4, outer_iters=3)
-    _, _, _, calls = reconstruct_small(monkeypatch, tmp_path, True, cfg)
+    reconstruct_small(monkeypatch, tmp_path, True, cfg)
     # set and restore, both by the caller, however many loops forked
     assert pins.read_text().splitlines() == [f"{os.getpid()} 1", f"{os.getpid()} 4"]
-    assert len({pid for pid, _ in calls}) == 7  # the caller and two children per round
+    assert len(forks) == 12  # two children for each of the six loops
 
 
 @settings(max_examples=100)
