@@ -38,7 +38,7 @@ def test_an_earlier_call_that_fails_later_is_raised_after_the_results_before_it(
 
     def call(i):
         if i == 1:
-            time.sleep(0.5)
+            time.sleep(1.0)
         if i in (1, 2):
             with open(failures, "a") as f:
                 f.write(f"{i}\n")
@@ -60,7 +60,7 @@ def test_a_killed_child_is_named_at_the_turn_of_the_call_it_took():
 
     def call(i):
         if os.getpid() == caller:
-            time.sleep(0.5)  # the child takes the calls meanwhile
+            time.sleep(1.0)  # the child takes the calls meanwhile
         elif i == 2:
             os.kill(os.getpid(), signal.SIGKILL)
         return i
