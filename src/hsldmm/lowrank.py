@@ -7,6 +7,13 @@ nuclear-norm weight. Each stage stops on a certified relative duality gap;
 the stages before the last are solved loosely (inexact continuation, Toh &
 Yun 2010; Ma, Goldfarb & Chen 2011), as only the last one is returned.
 
+A completion holds three (m*n) x B float64 arrays at a time: the prox input
+Y, the new prox point Z and the kept iterate. The zero-filled data go once
+their samples and the start's objective are taken, a rejected prox point
+goes at once, and a stage's input goes once a step replaces it. The dual
+point of a gap check is built in the spent prox input, which the stage
+zero-fills between the prox and the momentum update that overwrites it.
+
 Every linear-algebra call of a stage goes through ``numpy.linalg``. scipy
 loads its own OpenBLAS build, with its own thread pool, beside numpy's: one
 ``scipy.linalg.eigvalsh`` of the gap's 96 x 96 Gram every fifth iteration
@@ -109,8 +116,8 @@ def _dual_bound(
 
     With R = P(b - Z), the point Y = R * min(1, mu / ||R||_2) is dual
     feasible (||Y||_2 <= mu), so F* >= <b, Y> - 0.5 ||Y||^2 (weak duality).
-    ``dual`` is an all-zero buffer of Z's shape; only the sampled entries
-    are written, so it stays zero elsewhere.
+    ``dual`` is a buffer of Z's shape that the caller zero-fills; only the
+    sampled entries are written, so it stays zero elsewhere.
 
     Rounding, to first order in eps and with the constants of the standard
     bounds (Higham 2002, ch. 3) rounded up, for n samples of an N x B
@@ -152,17 +159,16 @@ def _relative_gap(F_X: float, nuc_X: float, m2_X: float, mu: float, low: float,
 
 
 def _apg_stage(
-    X: np.ndarray,
+    held: list,
     nuc_X: float,
     m2_X: float,
     idx: np.ndarray,
     b_obs: np.ndarray,
-    dual: np.ndarray,
     mu: float,
     target: float,
     max_iters: int,
     kept: list,
-) -> tuple[np.ndarray, float, float, float]:
+) -> tuple[float, float, float]:
     # Monotone variant of FISTA (Beck & Teboulle 2009): keep the best
     # objective seen, so the values appended to ``kept`` per iteration never
     # increase at fixed mu. A rejected step also restarts the momentum
@@ -173,10 +179,13 @@ def _apg_stage(
     # most ``target``. It is checked at the first iteration, every
     # _GAP_EVERY-th and the last, against the best dual bound of the stage's
     # prox points so far: a rejected prox point still gives a dual bound.
-    # Returns the kept iterate, its nuclear norm, its m2 bound and its gap.
+    # The stage takes the kept iterate out of ``held`` and puts its own back,
+    # so that no frame pins the input once a step replaces it. Returns the
+    # kept iterate's nuclear norm, its m2 bound and its gap.
+    X = held.pop()
     r = X.take(idx) - b_obs
     F_X = 0.5 * float(r @ r) + mu * nuc_X
-    Y, X_prev = X.copy(), X
+    Y = X.copy()
     t, low = 1.0, -math.inf
     for it in range(1, max_iters + 1):
         Y.put(idx, b_obs)  # the prox input, built in Y's own buffer
@@ -184,24 +193,29 @@ def _apg_stage(
         r = Z.take(idx) - b_obs
         nuc_Z = float(shrunk.sum())
         F_Z = 0.5 * float(r @ r) + mu * nuc_Z
+        check = it == 1 or it % _GAP_EVERY == 0 or it == max_iters
+        if check:  # the dual point, built in the spent prox input
+            Y.fill(0.0)
+            low = max(low, _dual_bound(r, mu, b_obs, idx, Y))
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         if F_Z <= F_X:
-            np.subtract(Z, X_prev, out=Y)
+            np.subtract(Z, X, out=Y)
             Y *= (t - 1.0) / t_new
             Y += Z
-            X_prev, F_X, nuc_X = Z, F_Z, nuc_Z
+            X, F_X, nuc_X = Z, F_Z, nuc_Z
             m2_X = float(((shrunk + mu) ** 2).sum())  # sigma_i(M) <= shrunk_i + mu
         else:
             t_new = 1.0
-            np.copyto(Y, X_prev)
+            np.copyto(Y, X)
+        del Z  # a rejected prox point goes at once
         kept.append(F_X)
         t = t_new
-        if it == 1 or it % _GAP_EVERY == 0 or it == max_iters:
-            low = max(low, _dual_bound(r, mu, b_obs, idx, dual))
-            gap = _relative_gap(F_X, nuc_X, m2_X, mu, low, dual.shape, idx.size)
+        if check:
+            gap = _relative_gap(F_X, nuc_X, m2_X, mu, low, Y.shape, idx.size)
             if gap <= target:
                 break
-    return X_prev, nuc_X, m2_X, gap
+    held.append(X)
+    return nuc_X, m2_X, gap
 
 
 def apg_complete(
@@ -231,15 +245,16 @@ def apg_complete(
         mu_target = 0.01 * float(_thin_svd(data)[0][0])
     # the start's nuclear norm is its objective at mu = 1 (data fits itself),
     # from a full SVD, so it needs no m2 bound; the prox gives later ones
-    X, nuc, m2 = data, completion_objective(data, obs, data, 1.0), 0.0
+    nuc, m2 = completion_objective(data, obs, data, 1.0), 0.0
     idx = np.flatnonzero(obs)
     b_obs = data.take(idx)
-    dual = np.zeros_like(data)
+    held = [data]  # the kept iterate, which each stage replaces
+    del data, obs
     for stage in range(cfg.n_stages - 1, -1, -1):
         mu = mu_target / _MU_DECAY**stage
         target = cfg.tol * (_LOOSE_FACTOR if stage else 1.0)
         kept: list = []
-        X, nuc, m2, gap = _apg_stage(X, nuc, m2, idx, b_obs, dual, mu, target, cfg.max_iters, kept)
+        nuc, m2, gap = _apg_stage(held, nuc, m2, idx, b_obs, mu, target, cfg.max_iters, kept)
         converged = gap <= target
         if log is not None:
             log.stages.append({"stage": cfg.n_stages - stage, "mu": mu, "iters": len(kept),
@@ -252,4 +267,4 @@ def apg_complete(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    return DataCube.from_unfolded(X, b.m, b.n)
+    return DataCube.from_unfolded(held.pop(), b.m, b.n)

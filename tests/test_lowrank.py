@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -169,6 +170,26 @@ def test_many_band_completion_regression():
     # checks; 5% still fails without either change.
     iters = sum(rec["iters"] for rec in log.stages)
     assert abs(iters - 930) <= 46 and iters < 952
+
+
+@pytest.mark.parametrize("m, B", [(64, 32), (48, 96)])
+def test_completion_holds_three_iterates(m, B):
+    # the prox input, the new prox point and the kept iterate, in (m*n) x B
+    # float64 arrays; at 10% the samples, their indices and the residuals
+    # add about half of one
+    cube = synth_cube(SyntheticSpec(m, m, B, 3, smoothness=3.0, seed=1))
+    masks = make_mask(cube.dims, 0.1, 2)
+    b = apply_mask(cube, masks)
+    tracemalloc.start()  # numpy reports its buffers to tracemalloc
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            apg_complete(b, masks, ApgConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / (m * m * B * 8) <= 3.75
 
 
 def masked(rng, values, rate):
