@@ -4,73 +4,33 @@ Pipeline: nuclear-norm matrix completion for a first estimate, then a few
 outer rounds in which a patch-similarity graph built once on the spatial
 grid is shared by every spectral band and each band is refreshed by a
 sparse non-symmetric linear solve.
+
+The top level holds the cube types, the synthetic data, the two stages and
+the metric. The patch, graph, band-system and oracle helpers are imported
+from their modules: ``hsldmm.patch``, ``hsldmm.graph``, ``hsldmm.solver``
+and ``hsldmm.oracle``.
 """
 
-from .datacube import (
-    DataCube,
-    MaskSet,
-    Metrics,
-    add_gaussian_noise,
-    apply_mask,
-    make_mask,
-    psnr,
-)
-from .graph import NeighborTable, assemble_wtilde, build_bar_w, knn_exact, local_scale
-from .lowrank import ApgConfig, apg_complete, svt
-from .patch import (
-    PatchGeometry,
-    extract_patches,
-    patch_component_adjoint,
-    patch_component_apply,
-    shift_index,
-    shift_permutation,
-)
-from .solver import (
-    BandSystem,
-    NumericalError,
-    RunLog,
-    SolverConfig,
-    assemble_band_system,
-    ldmm_reconstruct,
-    solve_band,
-    wnll_energy,
-)
-from .oracle import SyntheticSpec, dense_solve, fd_gradient, synth_cube
+from .datacube import DataCube, MaskSet, add_gaussian_noise, apply_mask, make_mask, psnr
+from .lowrank import ApgConfig, apg_complete
+from .oracle import SyntheticSpec, synth_cube
+from .solver import NumericalError, RunLog, SolverConfig, ldmm_reconstruct
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApgConfig",
-    "BandSystem",
     "DataCube",
     "MaskSet",
-    "Metrics",
-    "NeighborTable",
     "NumericalError",
-    "PatchGeometry",
     "RunLog",
     "SolverConfig",
     "SyntheticSpec",
     "add_gaussian_noise",
     "apg_complete",
     "apply_mask",
-    "assemble_band_system",
-    "assemble_wtilde",
-    "build_bar_w",
-    "dense_solve",
-    "extract_patches",
-    "fd_gradient",
-    "knn_exact",
     "ldmm_reconstruct",
-    "local_scale",
     "make_mask",
-    "patch_component_adjoint",
-    "patch_component_apply",
     "psnr",
-    "shift_index",
-    "shift_permutation",
-    "solve_band",
-    "svt",
     "synth_cube",
-    "wnll_energy",
 ]

@@ -71,8 +71,9 @@ _SCRATCH_FLOOR = 9 << 19
 
 def _scratch_bound(N: int, d: int) -> int:
     """Bytes one process of ``knn_exact`` may hold besides its table: the
-    floor, plus per row the centred float64 copy and its float32 cast
-    (12 d bytes), six float64 row vectors and one settled band entry."""
+    floor, plus per row 12 d bytes, six float64 row vectors and one settled
+    band entry. Of the 12 d bytes, 4 d hold the float32 cast and 8 d leave
+    room for the screen block, whose rows ``_block_rows`` caps."""
     return _SCRATCH_FLOOR + (12 * d + 48 + _SETTLE_BYTES) * N
 
 
@@ -81,8 +82,9 @@ def _screen_bytes(N: int, d: int, rows: int) -> int:
     screens blocks of ``rows`` rows: the float32 cast, four row vectors, the
     block and its quarter-height copy (5 bytes per entry), and the settle's
     temporaries for a chunk, which holds at least one row's band. The
-    centring before it holds the float64 copy, the cast and up to six row
-    vectors, which ``_scratch_bound`` covers at any size."""
+    centring before it holds the cast, up to six row vectors and one chunk
+    of about ``_CHUNK_ENTRIES`` float64 entries, or one row, which
+    ``_scratch_bound`` covers at any size."""
     return (4 * d + 32 + 5 * rows) * N + _SETTLE_BYTES * max(_CHUNK_ENTRIES, N)
 
 
@@ -167,10 +169,10 @@ def knn_exact(patches: np.ndarray, k: int) -> NeighborTable:
 
     Bitwise the answer of ``oracle.naive_knn``. The patches are centred on
     their mean in float64, scaled by 2**s so that max |entry| lies in
-    [0.5, 1) (exact), and cast to float32 ``Q``. Each block of rows is
-    screened by one float32 Gram form ``n_x + n_y - 2 q_x.q_y``, with ``n``
-    the squared norms of ``Q`` summed in float64, and its rows are settled
-    as in ``_smallest_k``.
+    [0.5, 1) (exact), and cast to float32 ``Q``, a chunk of rows at a time.
+    Each block of rows is screened by one float32 Gram form
+    ``n_x + n_y - 2 q_x.q_y``, with ``n`` the squared norms of ``Q`` summed
+    in float64, and its rows are settled as in ``_smallest_k``.
 
     One process per usable CPU takes the blocks on demand, with BLAS pinned
     to one thread (see ``_workers``). Each process fills its own copy of the
@@ -208,10 +210,17 @@ def _knn_exact(patches: np.ndarray, k: int, workers: int) -> NeighborTable:
     top = float(np.einsum("ij,ij->i", P, P).max())
     if not np.isfinite(8.0 * top):  # a NaN or inf entry, or squared norms near overflow
         raise ValueError("patches must be finite, with squared norms well inside float64 range")
-    C = P - P.mean(axis=0)  # differences are translation invariant; float32 keeps the spread
-    s = -int(np.frexp(max(C.max(initial=0.0), -C.min(initial=0.0)))[1])  # max |entry|
-    np.ldexp(C, s, out=C)  # max |entry| in [0.5, 1): no float32 overflow, few subnormals
-    Q = C.astype(np.float32)
+    mean = P.mean(axis=0)  # differences are translation invariant; float32 keeps the spread
+    # max |P - mean| from the column extremes: rounding is monotone, so it is
+    # bitwise the max over the centred entries
+    hi = max((P.max(axis=0) - mean).max(initial=0.0), (mean - P.min(axis=0)).max(initial=0.0))
+    s = -int(np.frexp(hi)[1])
+    Q = np.empty((N, d), np.float32)
+    step = max(1, _CHUNK_ENTRIES // max(1, d))  # rows centred at a time, in float64
+    for lo in range(0, N, step):
+        C = P[lo : lo + step] - mean
+        np.ldexp(C, s, out=C)  # max |entry| in [0.5, 1): no float32 overflow, few subnormals
+        Q[lo : lo + step] = C
     del C
     q2 = np.einsum("ij,ij->i", Q, Q, dtype=np.float64)
     n = q2.astype(np.float32)

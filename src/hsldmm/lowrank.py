@@ -183,14 +183,16 @@ def _apg_stage(
     # so that no frame pins the input once a step replaces it. Returns the
     # kept iterate's nuclear norm, its m2 bound and its gap.
     X = held.pop()
-    r = X.take(idx) - b_obs
+    r = X.take(idx)
+    r -= b_obs  # in place, so no temporary residual is made
     F_X = 0.5 * float(r @ r) + mu * nuc_X
     Y = X.copy()
     t, low = 1.0, -math.inf
     for it in range(1, max_iters + 1):
         Y.put(idx, b_obs)  # the prox input, built in Y's own buffer
         Z, shrunk = svt(Y, mu)
-        r = Z.take(idx) - b_obs
+        r = Z.take(idx)
+        r -= b_obs
         nuc_Z = float(shrunk.sum())
         F_Z = 0.5 * float(r @ r) + mu * nuc_Z
         check = it == 1 or it % _GAP_EVERY == 0 or it == max_iters

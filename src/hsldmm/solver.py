@@ -145,7 +145,10 @@ def _band_graph(wtilde: sp.spmatrix) -> _BandGraph:
     # duplicates merged and a diagonal slot in every row, as self weight + 1 > 0
     W = (wtilde + sp.identity(N, format="csr")).tocsr()
     W.sort_indices()  # only an input that is not canonical leaves it unsorted
-    diag_pos = np.flatnonzero(np.repeat(np.arange(N), np.diff(W.indptr)) == W.indices)
+    # each entry's row in the indices' dtype, int32 as a rule: an int64 copy
+    # took this stage past the kNN stage's peak
+    row = np.repeat(np.arange(N, dtype=W.indices.dtype), np.diff(W.indptr))
+    diag_pos = np.flatnonzero(row == W.indices)
     # The degree is summed without the self weight rather than as the full
     # row sum minus it: when every other weight of a row is below eps times
     # the self weight, that difference rounds to exactly 0.

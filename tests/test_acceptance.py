@@ -17,31 +17,27 @@ from hsldmm import (
     ApgConfig,
     DataCube,
     MaskSet,
-    PatchGeometry,
     SolverConfig,
     SyntheticSpec,
     add_gaussian_noise,
     apg_complete,
     apply_mask,
-    assemble_band_system,
-    assemble_wtilde,
-    build_bar_w,
-    extract_patches,
-    knn_exact,
     ldmm_reconstruct,
-    local_scale,
     make_mask,
-    patch_component_adjoint,
-    patch_component_apply,
     psnr,
-    shift_permutation,
-    solve_band,
     synth_cube,
-    wnll_energy,
 )
+from hsldmm.graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
 from hsldmm.hsio import read_cube, read_mask, write_cube, write_mask
 from hsldmm.oracle import dense_solve, fd_gradient, naive_bar_w, naive_wtilde
-from hsldmm.solver import RunLog
+from hsldmm.patch import (
+    PatchGeometry,
+    extract_patches,
+    patch_component_adjoint,
+    patch_component_apply,
+    shift_permutation,
+)
+from hsldmm.solver import RunLog, assemble_band_system, solve_band, wnll_energy
 
 # Frozen regression baseline: median standard-PSNR margin of the manifold
 # loop over its completion initialization on the criterion-6 seed sweep,

@@ -10,19 +10,10 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hsldmm import (
-    DataCube,
-    NumericalError,
-    PatchGeometry,
-    assemble_wtilde,
-    build_bar_w,
-    extract_patches,
-    knn_exact,
-    local_scale,
-    shift_permutation,
-)
-from hsldmm import _workers, graph
+from hsldmm import DataCube, NumericalError, _workers, graph
+from hsldmm.graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
 from hsldmm.oracle import naive_bar_w, naive_knn, naive_wtilde
+from hsldmm.patch import PatchGeometry, extract_patches, shift_permutation
 
 
 def cloud(n, d, seed):
@@ -212,6 +203,19 @@ def test_knn_scratch_stays_within_its_bound(kind, n, d, k):
     # besides the scratch: the table, and two blocks' slices of it, the one
     # being settled and the one the block loop still holds
     assert peak <= graph._scratch_bound(n, d) + 16 * n * k + 2 * 16 * rows * k
+
+
+def test_knn_centres_without_a_float64_copy_of_the_patches():
+    # at large d the float32 cast and the centring's row chunks are all the
+    # patch-sized scratch: the peak stays below one float64 copy of P
+    pts = np.random.default_rng(7).random((2048, 1536))
+    tracemalloc.start()
+    try:
+        graph._knn_exact(pts, 8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pts.nbytes
 
 
 def fake_pin(monkeypatch, count=4):

@@ -175,8 +175,8 @@ def test_many_band_completion_regression():
 @pytest.mark.parametrize("m, B", [(64, 32), (48, 96)])
 def test_completion_holds_three_iterates(m, B):
     # the prox input, the new prox point and the kept iterate, in (m*n) x B
-    # float64 arrays; at 10% the samples, their indices and the residuals
-    # add about half of one
+    # float64 arrays; at 10% the samples, their indices and two residuals
+    # add about 0.4 of one
     cube = synth_cube(SyntheticSpec(m, m, B, 3, smoothness=3.0, seed=1))
     masks = make_mask(cube.dims, 0.1, 2)
     b = apply_mask(cube, masks)
@@ -189,7 +189,7 @@ def test_completion_holds_three_iterates(m, B):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - start) / (m * m * B * 8) <= 3.75
+    assert (peak - start) / (m * m * B * 8) <= 3.5
 
 
 def masked(rng, values, rate):

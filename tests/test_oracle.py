@@ -12,16 +12,9 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter, gaussian_filter1d
 
 import hsldmm
-from hsldmm import (
-    BandSystem,
-    DataCube,
-    SyntheticSpec,
-    assemble_band_system,
-    dense_solve,
-    fd_gradient,
-    synth_cube,
-)
-from hsldmm import _workers
+from hsldmm import DataCube, SyntheticSpec, _workers, synth_cube
+from hsldmm.oracle import dense_solve, fd_gradient
+from hsldmm.solver import BandSystem, assemble_band_system
 from hsldmm.oracle import _periodic_smooth, selfcheck
 
 
@@ -226,7 +219,8 @@ def test_dense_solve_size_cap():
 
 def test_dense_solve_on_assembled_band_system():
     cube = synth_cube(SyntheticSpec(4, 4, 2, 2, smoothness=1.0, seed=3))
-    from hsldmm import PatchGeometry, build_bar_w, extract_patches, knn_exact, local_scale, assemble_wtilde
+    from hsldmm.graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
+    from hsldmm.patch import PatchGeometry, extract_patches
 
     geom = PatchGeometry(2, 2, 4, 4)
     patches = extract_patches(cube, geom)
@@ -257,15 +251,9 @@ def test_fd_gradient_constant_field_zero():
 def test_fd_gradient_matches_analytic_residual_on_energy():
     # full (symmetric) graph on a 3x3 grid: the energy gradient equals twice
     # the assembled residual A u - rhs
-    from hsldmm import (
-        PatchGeometry,
-        assemble_wtilde,
-        build_bar_w,
-        extract_patches,
-        knn_exact,
-        local_scale,
-        wnll_energy,
-    )
+    from hsldmm.graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
+    from hsldmm.patch import PatchGeometry, extract_patches
+    from hsldmm.solver import wnll_energy
 
     cube = synth_cube(SyntheticSpec(3, 3, 2, 1, smoothness=1.0, seed=5))
     geom = PatchGeometry(2, 2, 3, 3)

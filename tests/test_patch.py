@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hsldmm.patch as patch_mod
-from hsldmm import (
-    DataCube,
+from hsldmm import DataCube
+from hsldmm.patch import (
     PatchGeometry,
     extract_patches,
     patch_component_adjoint,

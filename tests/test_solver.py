@@ -19,30 +19,23 @@ import hsldmm.graph as graph_mod
 import hsldmm.solver as solver_mod
 from hsldmm import _workers
 from hsldmm import (
+    ApgConfig,
     DataCube,
     MaskSet,
     NumericalError,
-    PatchGeometry,
     SolverConfig,
     SyntheticSpec,
-    ApgConfig,
     apg_complete,
     apply_mask,
-    assemble_band_system,
-    assemble_wtilde,
-    build_bar_w,
-    extract_patches,
-    knn_exact,
     ldmm_reconstruct,
-    local_scale,
     make_mask,
     psnr,
-    solve_band,
     synth_cube,
-    wnll_energy,
 )
+from hsldmm.graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
 from hsldmm.oracle import DENSE_SOLVE_CAP, dense_solve, fd_gradient
-from hsldmm.solver import RunLog, _gmres
+from hsldmm.patch import PatchGeometry, extract_patches
+from hsldmm.solver import RunLog, _gmres, assemble_band_system, solve_band, wnll_energy
 
 
 def small_graph(m, n, B, s, k, seed):
