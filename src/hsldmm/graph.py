@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._workers import _in_order, _pool_size
-from .patch import PatchGeometry, shift_permutation
+from .patch import PatchGeometry, PatchMatrix, shift_permutation
 
 __all__ = [
     "NeighborTable",
@@ -97,13 +97,14 @@ def _block_rows(N: int, d: int) -> int:
     return min(_GEMM_ROWS, N, room)
 
 
-def _pair_sq_dists(P: np.ndarray, x: np.ndarray, y: np.ndarray, budget: int) -> np.ndarray:
+def _pair_sq_dists(P: PatchMatrix, x: np.ndarray, y: np.ndarray, budget: int) -> np.ndarray:
     """((P[x] - P[y])**2).sum() per index pair, the oracle's difference form,
     with temporaries of about ``budget`` bytes."""
     out = np.empty(x.size)
     step = max(1, budget // (8 * max(1, P.shape[1])))
     for a in range(0, x.size, step):
-        diff = P[x[a : a + step]] - P[y[a : a + step]]
+        diff = P.rows(x[a : a + step])
+        diff -= P.rows(y[a : a + step])
         np.square(diff, out=diff)
         out[a : a + step] = diff.sum(axis=1)
     return out
@@ -112,7 +113,7 @@ def _pair_sq_dists(P: np.ndarray, x: np.ndarray, y: np.ndarray, budget: int) -> 
 def _smallest_k(
     D: np.ndarray,
     k: int,
-    P: np.ndarray,
+    P: PatchMatrix,
     rows: np.ndarray,
     tol: np.ndarray,
     zero: np.ndarray,
@@ -164,12 +165,17 @@ def _smallest_k(
     return idx, d2
 
 
-def knn_exact(patches: np.ndarray, k: int) -> NeighborTable:
+def knn_exact(patches: PatchMatrix | np.ndarray, k: int) -> NeighborTable:
     """Exact k nearest neighbors under squared Euclidean distance.
 
-    Bitwise the answer of ``oracle.naive_knn``. The patches are centred on
-    their mean in float64, scaled by 2**s so that max |entry| lies in
-    [0.5, 1) (exact), and cast to float32 ``Q``, a chunk of rows at a time.
+    Bitwise the answer of ``oracle.naive_knn`` on ``np.asarray(patches)``. A
+    plain 2-d array is read as a ``PatchMatrix`` with the identity gather;
+    rows are gathered only a chunk at a time. The patches are centred in
+    float64 on the unfolding's column means tiled once per window offset (a
+    plain array's own column means), scaled by 2**s so that max |entry| lies
+    in [0.5, 1) (exact), and cast to float32 ``Q``, a chunk of rows at a
+    time. Differences do not depend on the centre, so any centre keeps the
+    table exact; the certificate below holds for any translation.
     Each block of rows is screened by one float32 Gram form
     ``n_x + n_y - 2 q_x.q_y``, with ``n`` the squared norms of ``Q`` summed
     in float64, and its rows are settled as in ``_smallest_k``.
@@ -199,26 +205,30 @@ def knn_exact(patches: np.ndarray, k: int) -> NeighborTable:
     return _knn_exact(patches, k, _pool_size())
 
 
-def _knn_exact(patches: np.ndarray, k: int, workers: int) -> NeighborTable:
+def _knn_exact(patches: PatchMatrix | np.ndarray, k: int, workers: int) -> NeighborTable:
     """``knn_exact`` on at most ``workers`` processes."""
-    P = np.ascontiguousarray(patches, dtype=np.float64)
-    if P.ndim != 2:
-        raise ValueError(f"patch matrix must be 2-d, got shape {P.shape}")
+    P = PatchMatrix.of(patches)
+    U, gather = P.unfolded, P.gather
     N, d = P.shape
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= {N}, got k={k}")
-    top = float(np.einsum("ij,ij->i", P, P).max())
+    # a patch's squared norm and its zeros, from its window's rows of U
+    top = float(np.einsum("ij,ij->i", U, U)[gather].sum(axis=1).max())
     if not np.isfinite(8.0 * top):  # a NaN or inf entry, or squared norms near overflow
         raise ValueError("patches must be finite, with squared norms well inside float64 range")
-    mean = P.mean(axis=0)  # differences are translation invariant; float32 keeps the spread
+    zero = (~U.any(axis=1))[gather].all(axis=1)
+    # differences are translation invariant; float32 keeps the spread
+    centre = U.mean(axis=0)
     # max |P - mean| from the column extremes: rounding is monotone, so it is
     # bitwise the max over the centred entries
-    hi = max((P.max(axis=0) - mean).max(initial=0.0), (mean - P.min(axis=0)).max(initial=0.0))
+    hi = max((U.max(axis=0) - centre).max(initial=0.0), (centre - U.min(axis=0)).max(initial=0.0))
     s = -int(np.frexp(hi)[1])
+    mean = np.tile(centre, gather.shape[1])
     Q = np.empty((N, d), np.float32)
     step = max(1, _CHUNK_ENTRIES // max(1, d))  # rows centred at a time, in float64
     for lo in range(0, N, step):
-        C = P[lo : lo + step] - mean
+        C = P.rows(slice(lo, lo + step))
+        C -= mean
         np.ldexp(C, s, out=C)  # max |entry| in [0.5, 1): no float32 overflow, few subnormals
         Q[lo : lo + step] = C
     del C
@@ -228,7 +238,6 @@ def _knn_exact(patches: np.ndarray, k: int, workers: int) -> NeighborTable:
     # past 4**515 the underflow term exceeds every screened value: all rows settle
     under = math.ldexp(2.0 * d * np.finfo(np.float64).tiny, min(2 * s, 1030))
     tol = 2.0 * (d + 10) * (u * (q2 + q2.max()) + 10.0 * t) + under
-    zero = ~P.any(axis=1)
     block_rows = _block_rows(N, d)
     starts = range(0, N, block_rows)
     screen = np.empty((block_rows, N), np.float32)
@@ -301,8 +310,11 @@ def assemble_wtilde(bar_w: sp.csr_matrix, geom: PatchGeometry) -> sp.csr_matrix:
     N = geom.n_pixels
     if bar_w.shape != (N, N):
         raise ValueError(f"bar_w must be {N} x {N}, got {bar_w.shape}")
-    bar_w = sp.csr_matrix(bar_w, copy=True)  # the result never aliases the argument
-    bar_w.sum_duplicates()  # a no-op on build_bar_w's canonical output
+    # The result never aliases the argument: with more than one shift the sums
+    # make new arrays, so a canonical CSR argument starts the sum as it is.
+    if geom.d_s == 1 or type(bar_w) is not sp.csr_matrix or not bar_w.has_canonical_format:
+        bar_w = sp.csr_matrix(bar_w, copy=True)
+        bar_w.sum_duplicates()  # a no-op on build_bar_w's canonical output
     acc = bar_w  # shift 0
     for i in range(2, geom.d_s + 1):
         # P @ bar_w @ P.T, each row already sorted: gather the rows, then the

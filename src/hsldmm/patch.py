@@ -4,7 +4,9 @@ Shifts wrap around at the image border, so every component shift is a
 permutation of the pixel grid and its adjoint is exactly its inverse. All of
 them gather by ``shift_permutation``: the patch matrix's offset-i columns,
 the i-th component and its adjoint here, and the shift-sum of
-``graph.assemble_wtilde``.
+``graph.assemble_wtilde``. The patch matrix itself is never stored: a
+``PatchMatrix`` holds the cube's unfolding and the window's gather, and
+makes rows on demand.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .datacube import DataCube
 
 __all__ = [
     "PatchGeometry",
+    "PatchMatrix",
     "shift_index",
     "shift_permutation",
     "extract_patches",
@@ -24,7 +27,7 @@ __all__ = [
     "patch_component_adjoint",
 ]
 
-_MAX_PATCH_BYTES = 2 << 30  # the largest patch matrix extract_patches allocates
+_MAX_PATCH_BYTES = 2 << 30  # the largest patch matrix extract_patches accepts
 
 
 @dataclass(frozen=True)
@@ -80,25 +83,66 @@ def shift_permutation(geom: PatchGeometry, j: int) -> np.ndarray:
     return (rows * geom.n + cols).reshape(-1)
 
 
-def extract_patches(cube: DataCube, geom: PatchGeometry) -> np.ndarray:
+@dataclass(frozen=True)
+class PatchMatrix:
+    """The (m*n) x (s1*s2*B) patch matrix, held as the cube's (m*n) x B
+    unfolding and the window's (m*n) x (s1*s2) gather of pixel indices.
+
+    Row p of the matrix is the unfolding's rows ``gather[p]``, one after the
+    other: offset outer, band inner. ``rows`` makes some rows and
+    ``np.asarray`` the whole matrix, each a new float64 array bitwise equal
+    to the rows of the matrix. A plain 2-d array is its own unfolding with
+    the identity gather (``of``).
+    """
+
+    unfolded: np.ndarray
+    gather: np.ndarray
+
+    @classmethod
+    def of(cls, patches) -> "PatchMatrix":
+        """``patches`` itself, or a 2-d array read with the identity gather."""
+        if isinstance(patches, cls):
+            return patches
+        P = np.ascontiguousarray(patches, dtype=np.float64)
+        if P.ndim != 2:
+            raise ValueError(f"patch matrix must be 2-d, got shape {P.shape}")
+        return cls(P, np.arange(P.shape[0])[:, None])
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.gather.shape[0], self.gather.shape[1] * self.unfolded.shape[1]
+
+    def rows(self, which) -> np.ndarray:
+        """The rows ``which`` (a slice or an index array) of the matrix."""
+        g = self.gather[which]
+        # take by the flat gather, which numpy runs faster than fancy indexing
+        return self.unfolded.take(g.reshape(-1), axis=0).reshape(g.shape[0], self.shape[1])
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a PatchMatrix holds no matrix to view; its rows are gathered")
+        out = self.rows(slice(None))
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def extract_patches(cube: DataCube, geom: PatchGeometry) -> PatchMatrix:
     """One flattened s1 x s2 x B patch per pixel.
 
-    Returns an (m*n) x (s1*s2*B) matrix. Row p (pixel in row-major order)
-    holds the patch anchored at p with its top-left corner at p; columns
-    run spatial offset outer, band inner, so column i*B + t is band t at
-    window offset i.
+    Returns the (m*n) x (s1*s2*B) patch matrix as a ``PatchMatrix``; row p
+    (pixel in row-major order) holds the patch anchored at p with its
+    top-left corner at p, and columns run spatial offset outer, band inner,
+    so column i*B + t is band t at window offset i. ``np.asarray`` of it is
+    the matrix. A matrix of more than ``_MAX_PATCH_BYTES`` is refused.
     """
     if (geom.m, geom.n) != (cube.m, cube.n):
         raise ValueError(
             f"geometry grid {(geom.m, geom.n)} does not match cube grid {(cube.m, cube.n)}"
         )
-    B = cube.B
-    d = geom.d_s * B
-    need = geom.n_pixels * d * 8
+    need = geom.n_pixels * geom.d_s * cube.B * 8
     if need > _MAX_PATCH_BYTES:
         raise ValueError(f"patch matrix needs {need} bytes, budget is {_MAX_PATCH_BYTES}")
     gather = np.stack([shift_permutation(geom, i) for i in range(geom.d_s)], axis=1)
-    return cube.unfold()[gather].reshape(geom.n_pixels, d)
+    return PatchMatrix(cube.unfold(), gather)
 
 
 def _component(band: np.ndarray, i: int, j: int, geom: PatchGeometry) -> np.ndarray:

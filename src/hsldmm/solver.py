@@ -29,8 +29,10 @@ __all__ = [
 ]
 
 
-# entries of the graph per chunk of the band fill's neighbour gather
-_GATHER_CHUNK = 1 << 16
+# entries of the graph per chunk of the band fill's neighbour gather: a chunk's
+# intp indices and gathered values take 512 KiB, as its values alone did when
+# 1 << 16 entries were gathered by the int32 indices
+_GATHER_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -192,11 +194,12 @@ def assemble_band_system(
     deg_omega = W @ chi
     mu_chi = mu * chi
     # data = -(2 + mu chi_x + mu chi_y) w(x, y); the gather of mu chi_y goes
-    # in chunks so that data is the only temporary of the size of the graph
+    # in chunks so that data is the only temporary of the size of the graph,
+    # each by intp indices, which numpy gathers 2-4x faster than int32 ones
     data = np.repeat(2.0 + mu_chi, np.diff(W.indptr))
     for lo in range(0, data.size, _GATHER_CHUNK):
         part = data[lo : lo + _GATHER_CHUNK]
-        part += mu_chi[W.indices[lo : lo + _GATHER_CHUNK]]
+        part += mu_chi.take(W.indices[lo : lo + _GATHER_CHUNK].astype(np.intp))
         part *= W.data[lo : lo + _GATHER_CHUNK]
     np.negative(data, out=data)
     # same float op order as (2 + mu chi)(D - W) + mu (D_omega - W chi) + lam chi

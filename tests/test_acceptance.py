@@ -94,7 +94,7 @@ def test_c02_graph_oracle():
                     table = knn_exact(patches, k)
                     bar = build_bar_w(table, local_scale(table, r_sigma))
                     bar_dense = np.asarray(bar.todense())
-                    want_bar = naive_bar_w(patches, k, r_sigma)
+                    want_bar = naive_bar_w(np.asarray(patches), k, r_sigma)
                     nz = want_bar > 0
                     assert np.array_equal(bar_dense == 0, want_bar == 0)
                     rel = np.abs(bar_dense - want_bar)[nz] / want_bar[nz]

@@ -160,6 +160,42 @@ def test_knn_workers_are_bitwise_oracle(n, d, offset, zero_frac, block_rows, see
         assert np.array_equal(table.sq_dists, d2)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    window=st.sampled_from([(1, 1), (2, 2), (2, 3)]),
+    h=st.integers(2, 3),  # the cube is two copies of an h-row block: every row is duplicated
+    n=st.integers(3, 5),
+    B=st.integers(1, 3),
+    offset=st.sampled_from([0.0, 1e4]),
+    zero_frac=st.sampled_from([0.0, 0.5, 0.9]),  # pixels zero in every band
+    levels=st.sampled_from([0, 2]),  # 2: two values per entry, many equal distances
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 30),
+)
+def test_knn_of_a_patch_matrix_is_the_oracle_of_its_array(
+    window, h, n, B, offset, zero_frac, levels, seed, k
+):
+    rng = np.random.default_rng(seed)
+    spread = rng.integers(0, levels, (B, h, n)) if levels else rng.random((B, h, n))
+    block = offset + 1e-2 * spread
+    block[:, rng.random((h, n)) < zero_frac] = 0.0
+    cube = DataCube(np.concatenate([block, block], axis=1))
+    patches = extract_patches(cube, PatchGeometry(*window, cube.m, cube.n))
+    plain = np.asarray(patches)
+    k = min(k, cube.m * cube.n)
+    idx, d2 = naive_knn(plain, k)
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            # 3-row screen blocks, and centring and settle chunks of a few rows
+            mp.setattr(graph, "_block_rows", lambda N, d: min(3, N))
+            mp.setattr(graph, "_CHUNK_ENTRIES", 8)
+            # a plain array takes the same path, with the identity gather
+            for table in (graph._knn_exact(patches, k, workers),
+                          graph._knn_exact(plain, k, workers)):
+                assert np.array_equal(table.indices, idx)
+                assert np.array_equal(table.sq_dists, d2)
+
+
 @settings(max_examples=200)
 @given(
     N=st.integers(1, 10**6),
@@ -554,6 +590,17 @@ def test_wtilde_is_bitwise_the_permutation_products(s1, s2, m, n):
     assert got is not bar and not np.shares_memory(got.data, bar.data)
 
 
+@pytest.mark.parametrize("s", [1, 2])
+def test_wtilde_leaves_its_argument_unchanged(s):
+    # with more than one shift the sum starts from bar_w itself, not a copy
+    geom, bar = grid_graph(5, 5, 2, s, 14, 5)
+    before = [getattr(bar, attr).copy() for attr in ("indptr", "indices", "data")]
+    wt = assemble_wtilde(bar, geom)
+    assert wt is not bar and not np.shares_memory(wt.data, bar.data)
+    for attr, was in zip(("indptr", "indices", "data"), before):
+        assert np.array_equal(getattr(bar, attr), was)
+
+
 def test_wtilde_row_budget_and_value_range():
     geom, bar = grid_graph(6, 6, 2, 2, 12, 5)
     wt = assemble_wtilde(bar, geom)
@@ -571,7 +618,7 @@ def test_graph_vs_naive_pipeline_end_to_end():
     k, r_sigma = 5, 3
     table = knn_exact(patches, k)
     bar = build_bar_w(table, local_scale(table, r_sigma))
-    want = naive_bar_w(patches, k, r_sigma)
+    want = naive_bar_w(np.asarray(patches), k, r_sigma)
     got = np.asarray(bar.todense())
     mask = want > 0
     rel = np.abs(got - want)[mask] / want[mask]

@@ -7,6 +7,7 @@ import hsldmm.patch as patch_mod
 from hsldmm import DataCube
 from hsldmm.patch import (
     PatchGeometry,
+    PatchMatrix,
     extract_patches,
     patch_component_adjoint,
     patch_component_apply,
@@ -90,13 +91,13 @@ def test_extract_1x1_is_unfolding():
     rng = np.random.default_rng(0)
     cube = DataCube(rng.random((3, 4, 5)))
     geom = PatchGeometry(1, 1, 4, 5)
-    assert np.array_equal(extract_patches(cube, geom), cube.unfold())
+    assert np.array_equal(np.asarray(extract_patches(cube, geom)), cube.unfold())
 
 
 def test_extract_2x2_single_band():
     cube = DataCube(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
     geom = PatchGeometry(2, 2, 2, 2)
-    rows = extract_patches(cube, geom)
+    rows = np.asarray(extract_patches(cube, geom))
     assert np.array_equal(rows[0], [1.0, 2.0, 3.0, 4.0])
 
 
@@ -104,7 +105,7 @@ def test_extract_matches_shift_index_exhaustively():
     rng = np.random.default_rng(1)
     cube = DataCube(rng.random((3, 5, 7)))
     geom = PatchGeometry(2, 2, 5, 7)
-    rows = extract_patches(cube, geom)
+    rows = np.asarray(extract_patches(cube, geom))
     B = cube.B
     for r in range(5):
         for c in range(7):
@@ -112,6 +113,23 @@ def test_extract_matches_shift_index_exhaustively():
                 rr, cc = shift_index((r, c), i, geom)
                 for t in range(B):
                     assert rows[r * 7 + c, i * B + t] == cube.values[t, rr, cc]
+
+
+def test_patch_matrix_rows_shape_and_identity_gather():
+    rng = np.random.default_rng(7)
+    cube = DataCube(rng.random((3, 5, 4)))
+    patches = extract_patches(cube, PatchGeometry(2, 3, 5, 4))
+    full = np.asarray(patches)
+    assert patches.shape == full.shape == (20, 18)
+    pick = np.array([19, 0, 7, 7])
+    assert np.array_equal(patches.rows(pick), full[pick])
+    assert np.array_equal(patches.rows(slice(3, 9)), full[3:9])
+    assert np.array_equal(np.asarray(patches, dtype=np.float32), full.astype(np.float32))
+    plain = PatchMatrix.of(full)
+    assert plain.unfolded is full and np.array_equal(plain.gather, np.arange(20)[:, None])
+    assert PatchMatrix.of(patches) is patches
+    with pytest.raises(ValueError):
+        PatchMatrix.of(np.ones(3))
 
 
 def test_extract_dim_mismatch_and_budget(monkeypatch):
@@ -208,7 +226,7 @@ def test_extract_matches_component_apply():
     rng = np.random.default_rng(6)
     cube = DataCube(rng.random((2, 4, 4)))
     geom = PatchGeometry(2, 2, 4, 4)
-    rows = extract_patches(cube, geom)
+    rows = np.asarray(extract_patches(cube, geom))
     for i in range(1, geom.d_s + 1):
         for t in range(2):
             shifted = patch_component_apply(cube.band(t), i, geom)

@@ -664,6 +664,36 @@ def test_ldmm_frees_each_round_intermediate_at_its_last_reader(monkeypatch):
     assert live == []
 
 
+def held_bytes(obj):
+    """Bytes of the numpy buffers that ``obj`` is, or holds as dataclass fields."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        return obj.nbytes
+    return sum(held_bytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+
+
+def test_ldmm_passes_knn_the_unfolding_not_the_patch_matrix(monkeypatch):
+    # a round's kNN reads patch rows from the unfolded iterate through the
+    # window's gather; the (m*n) x (s1*s2*B) float64 matrix is never held
+    held = []
+    real = solver_mod.knn_exact
+
+    def spy(patches, k):
+        held.append(held_bytes(patches))
+        return real(patches, k)
+
+    monkeypatch.setattr(solver_mod, "knn_exact", spy)
+    m, n, B, s1, s2 = 12, 10, 6, 2, 3
+    cube = synth_cube(SyntheticSpec(m, n, B, 2, smoothness=1.5, seed=27))
+    masks = make_mask(cube.dims, 0.3, 28)
+    b = apply_mask(cube, masks)
+    ldmm_reconstruct(b, masks, SolverConfig(s1=s1, s2=s2, k=8, r_sigma=4, outer_iters=2), b)
+    N = m * n
+    assert len(held) == 2
+    assert max(held) <= N * B * 8 + N * s1 * s2 * 8
+
+
 def test_ldmm_logs_bands_and_psnr():
     cube = synth_cube(SyntheticSpec(8, 8, 2, 2, smoothness=1.5, seed=23))
     masks = make_mask(cube.dims, 0.4, 24)
