@@ -29,7 +29,7 @@ from .hsio import (
 )
 from .lowrank import ApgConfig, apg_complete
 from .oracle import SyntheticSpec, selfcheck, synth_cube
-from .solver import NumericalError, RunLog, SolverConfig, ldmm_reconstruct
+from .solver import NumericalError, RunLog, SolverConfig, _check_inputs, ldmm_reconstruct
 
 __all__ = ["main", "format_manifest", "parse_manifest"]
 
@@ -175,12 +175,9 @@ def cmd_reconstruct(args) -> int:
     stamp_start = datetime.now(timezone.utc).isoformat()
     data = read_cube(args.data)
     masks = read_mask(args.mask)
-    if data.dims != masks.dims:
-        raise ValueError(f"data dims {data.dims} do not match mask dims {masks.dims}")
     cfg = _solver_config(args)
     ref = read_cube(args.ref) if args.ref else None
-    if ref is not None and ref.dims != data.dims:
-        raise ValueError(f"reference dims {ref.dims} do not match data dims {data.dims}")
+    _check_inputs(data, masks, cfg, ref)  # before APG, which can take minutes
 
     manifest: dict = {
         "command": "reconstruct",
@@ -203,8 +200,6 @@ def cmd_reconstruct(args) -> int:
             u0 = apply_mask(data, masks)
         else:
             u0 = read_cube(args.init)
-            if u0.dims != data.dims:
-                raise ValueError(f"init cube dims {u0.dims} do not match data dims {data.dims}")
         manifest["secs_init"] = time.perf_counter() - t0
         if ref is not None and args.init != "zero":
             met0 = psnr(u0, ref)

@@ -74,9 +74,8 @@ class _Grid:
         return self._array[t]
 
     def unfold(self) -> np.ndarray:
-        """(m*n) x B matrix; pixel order is row-major, one column per band."""
-        B, m, n = self._array.shape
-        return np.ascontiguousarray(self._array.reshape(B, m * n).T)
+        """A new (m*n) x B matrix; pixel order is row-major, one column per band."""
+        return np.array(self._array.reshape(self.B, -1).T, order="C")
 
 
 @dataclass(frozen=True)

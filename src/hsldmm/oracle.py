@@ -239,8 +239,7 @@ def _check_solver() -> bool:
 
     cube = synth_cube(SyntheticSpec(4, 4, 2, 2, smoothness=1.0, seed=3))
     geom = PatchGeometry(2, 2, 4, 4)
-    patches = extract_patches(cube, geom)
-    table = knn_exact(patches, 6)
+    table = knn_exact(extract_patches(cube.unfold(), geom), 6)
     wt = assemble_wtilde(build_bar_w(table, local_scale(table, 3)), geom)
     mask = np.zeros((4, 4), dtype=bool)
     mask.reshape(-1)[[0, 5, 9, 14]] = True
@@ -258,8 +257,7 @@ def _check_fd_stationarity() -> bool:
 
     cube = synth_cube(SyntheticSpec(4, 4, 2, 1, smoothness=1.0, seed=9))
     geom = PatchGeometry(2, 2, 4, 4)
-    patches = extract_patches(cube, geom)
-    table = knn_exact(patches, 16)  # full graph: symmetric weights
+    table = knn_exact(extract_patches(cube.unfold(), geom), 16)  # full graph: symmetric weights
     wt = assemble_wtilde(build_bar_w(table, local_scale(table, 8)), geom)
     mask = np.zeros((4, 4), dtype=bool)
     mask.reshape(-1)[[1, 6, 11, 12]] = True
@@ -309,7 +307,7 @@ def _check_band_workers() -> bool:
     # answer a forked child as it answers the caller
     cube = synth_cube(SyntheticSpec(32, 32, 6, 2, smoothness=1.0, seed=4))
     geom = PatchGeometry(2, 2, 32, 32)
-    patches = extract_patches(cube, geom)
+    patches = extract_patches(cube.unfold(), geom)
     table, table2 = (_knn_exact(patches, 10, workers) for workers in (1, 2))
     graph = _band_graph(assemble_wtilde(build_bar_w(table, local_scale(table, 5)), geom))
     masks = make_mask(cube.dims, 0.2, 5)

@@ -5,8 +5,8 @@ permutation of the pixel grid and its adjoint is exactly its inverse. All of
 them gather by ``shift_permutation``: the patch matrix's offset-i columns,
 the i-th component and its adjoint here, and the shift-sum of
 ``graph.assemble_wtilde``. The patch matrix itself is never stored: a
-``PatchMatrix`` holds the cube's unfolding and the window's gather, and
-makes rows on demand.
+``PatchMatrix`` holds a read-only view of the (m*n) x B unfolding it was
+given, with no copy, and the window's gather, and makes rows on demand.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .datacube import DataCube
 
 __all__ = [
     "PatchGeometry",
@@ -85,7 +83,7 @@ def shift_permutation(geom: PatchGeometry, j: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PatchMatrix:
-    """The (m*n) x (s1*s2*B) patch matrix, held as the cube's (m*n) x B
+    """The (m*n) x (s1*s2*B) patch matrix, held as the (m*n) x B
     unfolding and the window's (m*n) x (s1*s2) gather of pixel indices.
 
     Row p of the matrix is the unfolding's rows ``gather[p]``, one after the
@@ -125,24 +123,31 @@ class PatchMatrix:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
-def extract_patches(cube: DataCube, geom: PatchGeometry) -> PatchMatrix:
-    """One flattened s1 x s2 x B patch per pixel.
+def _check_budget(geom: PatchGeometry, B: int) -> None:
+    """Refuse a patch matrix of more than ``_MAX_PATCH_BYTES``."""
+    need = geom.n_pixels * geom.d_s * B * 8
+    if need > _MAX_PATCH_BYTES:
+        raise ValueError(f"patch matrix needs {need} bytes, budget is {_MAX_PATCH_BYTES}")
+
+
+def extract_patches(unfolded: np.ndarray, geom: PatchGeometry) -> PatchMatrix:
+    """One flattened s1 x s2 x B patch per pixel of an (m*n) x B unfolding.
 
     Returns the (m*n) x (s1*s2*B) patch matrix as a ``PatchMatrix``; row p
     (pixel in row-major order) holds the patch anchored at p with its
     top-left corner at p, and columns run spatial offset outer, band inner,
-    so column i*B + t is band t at window offset i. ``np.asarray`` of it is
-    the matrix. A matrix of more than ``_MAX_PATCH_BYTES`` is refused.
+    so column i*B + t is band t at window offset i; ``np.asarray`` of it is
+    the matrix. It reads a C-contiguous float64 ``unfolded`` in place, by a
+    read-only view. A matrix past ``_MAX_PATCH_BYTES`` is refused.
     """
-    if (geom.m, geom.n) != (cube.m, cube.n):
-        raise ValueError(
-            f"geometry grid {(geom.m, geom.n)} does not match cube grid {(cube.m, cube.n)}"
-        )
-    need = geom.n_pixels * geom.d_s * cube.B * 8
-    if need > _MAX_PATCH_BYTES:
-        raise ValueError(f"patch matrix needs {need} bytes, budget is {_MAX_PATCH_BYTES}")
+    U = np.ascontiguousarray(unfolded, dtype=np.float64)
+    if U.ndim != 2 or U.shape[0] != geom.n_pixels:
+        raise ValueError(f"unfolding must be ({geom.n_pixels}, B), got shape {U.shape}")
+    _check_budget(geom, U.shape[1])
     gather = np.stack([shift_permutation(geom, i) for i in range(geom.d_s)], axis=1)
-    return PatchMatrix(cube.unfold(), gather)
+    view = U.view()
+    view.flags.writeable = False
+    return PatchMatrix(view, gather)
 
 
 def _component(band: np.ndarray, i: int, j: int, geom: PatchGeometry) -> np.ndarray:

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from ._workers import NumericalError, _in_order, _one_blas_thread, _pool_size
 from .datacube import DataCube, MaskSet, _check_field_types, psnr
 from .graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
-from .patch import PatchGeometry, extract_patches
+from .patch import PatchGeometry, _check_budget, extract_patches
 
 __all__ = [
     "SolverConfig",
@@ -391,6 +391,24 @@ def wnll_energy(
     return total + lam * float(misfit @ misfit)
 
 
+def _check_inputs(b: DataCube, masks: MaskSet, cfg: SolverConfig,
+                  ref: DataCube | None = None) -> tuple[PatchGeometry, np.ndarray]:
+    """Raise ValueError for a run that cannot go through, before any work;
+    return its patch geometry and the bands' sampling rates."""
+    if b.dims != masks.dims:
+        raise ValueError(f"cube dims {b.dims} do not match mask dims {masks.dims}")
+    if ref is not None and ref.dims != b.dims:
+        raise ValueError(f"reference dims {ref.dims} do not match data dims {b.dims}")
+    rates = masks.rates()
+    if float(rates.min()) == 0.0:
+        raise ValueError(f"band {int(np.argmin(rates))} has no sampled pixels")
+    geom = PatchGeometry(cfg.s1, cfg.s2, b.m, b.n)
+    if cfg.k > geom.n_pixels:
+        raise ValueError(f"k={cfg.k} exceeds pixel count {geom.n_pixels}")
+    _check_budget(geom, b.B)
+    return geom, rates
+
+
 @_one_blas_thread()
 def ldmm_reconstruct(
     b: DataCube,
@@ -412,26 +430,18 @@ def ldmm_reconstruct(
     log records, warnings and errors are taken in band order, so the output
     does not depend on the number of processes or on which one ran a band.
     OpenBLAS stays on one thread for the whole call, and the caller's count
-    comes back at its end. ``ref`` adds per-iteration PSNR to ``log`` and is
-    not read without it.
+    comes back at its end. Patches read the (m*n) x B iterate in place.
+    ``ref`` adds per-iteration PSNR to ``log``; without a log only its dims are read.
     """
-    if b.dims != masks.dims:
-        raise ValueError(f"cube dims {b.dims} do not match mask dims {masks.dims}")
+    geom, rates = _check_inputs(b, masks, cfg, ref)
     if u0.dims != b.dims:
         raise ValueError(f"initializer dims {u0.dims} do not match data dims {b.dims}")
-    rates = masks.rates()
-    if float(rates.min()) == 0.0:
-        raise ValueError(f"band {int(np.argmin(rates))} has no sampled pixels")
-    geom = PatchGeometry(cfg.s1, cfg.s2, b.m, b.n)
-    n_pix = geom.n_pixels
-    if cfg.k > n_pix:
-        raise ValueError(f"k={cfg.k} exceeds pixel count {n_pix}")
-    u = u0.values.copy()
+    u = u0.unfold()
     for it in range(1, cfg.outer_iters + 1):
         t0 = time.perf_counter()
         # Each intermediate goes at its last reader, so that a round holds one
         # stage's at a time and its peak is that of its largest stage, the kNN.
-        patches = extract_patches(DataCube(u), geom)
+        patches = extract_patches(u, geom)
         table = knn_exact(patches, cfg.k)
         del patches
         sigma = local_scale(table, cfg.r_sigma)
@@ -439,7 +449,7 @@ def ldmm_reconstruct(
         del table, sigma
         wtilde = assemble_wtilde(bar_w, geom)
         del bar_w
-        mean_degree = float(wtilde.sum()) / n_pix
+        mean_degree = float(wtilde.sum()) / geom.n_pixels
         lam = cfg.lambda_rel * mean_degree
         graph_secs = time.perf_counter() - t0
         graph = _band_graph(wtilde)
@@ -451,7 +461,7 @@ def ldmm_reconstruct(
                 graph, masks.band(t), b.band(t), lam, float(rates[t]), band=t
             )
             try:
-                return _gmres(system, u[t].reshape(-1), cfg)
+                return _gmres(system, u[:, t], cfg)
             except NumericalError as exc:
                 raise NumericalError(f"iteration {it}: {exc}") from exc
 
@@ -465,16 +475,9 @@ def ldmm_reconstruct(
                 if not converged:
                     unconverged[t] = eta
                 if log is not None:
-                    log.bands.append(
-                        {
-                            "iteration": it,
-                            "band": t,
-                            "gmres_iters": iters,
-                            "backward_error": eta,
-                            "converged": converged,
-                        }
-                    )
-                u[t] = x.reshape(b.m, b.n)
+                    log.bands.append({"iteration": it, "band": t, "gmres_iters": iters,
+                                      "backward_error": eta, "converged": converged})
+                u[:, t] = x
         del graph, solve  # before the next round extracts its patches
         if unconverged:
             warnings.warn(
@@ -488,7 +491,7 @@ def ldmm_reconstruct(
                          "nnz": nnz, "gmres_iters": gmres_iters, "graph_secs": graph_secs,
                          "secs": time.perf_counter() - t0}
             if ref is not None:
-                met = psnr(DataCube(u), ref)
+                met = psnr(DataCube.from_unfolded(u, b.m, b.n), ref)
                 rec.update(psnr_paper=met.psnr_paper, psnr_standard=met.psnr_standard)
             log.iterations.append(rec)
-    return DataCube(u)
+    return DataCube.from_unfolded(u, b.m, b.n)

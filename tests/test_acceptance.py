@@ -60,7 +60,7 @@ def criterion(label, budget_secs):
 
 def band_graph(cube, s, k, r_sigma):
     geom = PatchGeometry(s, s, cube.m, cube.n)
-    patches = extract_patches(cube, geom)
+    patches = extract_patches(cube.unfold(), geom)
     table = knn_exact(patches, k)
     return geom, assemble_wtilde(build_bar_w(table, local_scale(table, r_sigma)), geom)
 
@@ -89,7 +89,7 @@ def test_c02_graph_oracle():
                     rng = np.random.default_rng(size * 100 + s * 10 + k)
                     cube = DataCube(rng.random((2, size, size)))
                     geom = PatchGeometry(s, s, size, size)
-                    patches = extract_patches(cube, geom)
+                    patches = extract_patches(cube.unfold(), geom)
                     r_sigma = max(2, k // 2 + 1)
                     table = knn_exact(patches, k)
                     bar = build_bar_w(table, local_scale(table, r_sigma))

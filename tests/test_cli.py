@@ -373,6 +373,30 @@ def test_reconstruct_dim_mismatch_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags, budget, message", [
+    (["--k", "5000"], None, "k=5000 exceeds pixel count 256"),
+    (["--patch", "80x2"], None, "need 1 <= s1 <= m"),
+    ([], 10, "patch matrix needs"),
+], ids=["k", "window", "budget"])
+def test_reconstruct_refuses_a_run_that_cannot_go_through_before_apg(
+    tmp_path, capsys, monkeypatch, flags, budget, message
+):
+    # a k, window or patch budget that the run cannot take is refused before
+    # the completion starts
+    gt, obs, mask = corrupted(tmp_path, capsys)
+
+    def no_apg(*args, **kwargs):
+        raise AssertionError("apg_complete called")
+
+    monkeypatch.setattr("hsldmm.cli.apg_complete", no_apg)
+    if budget is not None:
+        monkeypatch.setattr("hsldmm.patch._MAX_PATCH_BYTES", budget)
+    rec = tmp_path / "rec.hsc"
+    code, _, err = run(["reconstruct", str(obs), str(mask), "-o", str(rec), *flags], capsys)
+    assert code == 1 and err.startswith("hsldmm: ") and message in err
+    assert not rec.exists() and not (tmp_path / "rec.manifest").exists()
+
+
 # --- eval ------------------------------------------------------------------
 
 

@@ -48,6 +48,15 @@ def test_grid_rejects_bad_shapes_and_unfolds(grid):
         assert got.dtype == bool
 
 
+@pytest.mark.parametrize("shape", [(1, 3, 4), (5, 1, 1)])
+def test_unfold_is_a_new_writable_array(shape):
+    # one band or one pixel: the transpose is already C-contiguous, and the
+    # unfolding must still be a copy, not a view of the frozen values
+    cube = random_cube(shape, 3)
+    mat = cube.unfold()
+    assert mat.flags.writeable and not np.shares_memory(mat, cube.values)
+
+
 def test_cube_is_immutable():
     cube = random_cube((2, 4, 4), 0)
     with pytest.raises(ValueError):

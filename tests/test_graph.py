@@ -180,7 +180,7 @@ def test_knn_of_a_patch_matrix_is_the_oracle_of_its_array(
     block = offset + 1e-2 * spread
     block[:, rng.random((h, n)) < zero_frac] = 0.0
     cube = DataCube(np.concatenate([block, block], axis=1))
-    patches = extract_patches(cube, PatchGeometry(*window, cube.m, cube.n))
+    patches = extract_patches(cube.unfold(), PatchGeometry(*window, cube.m, cube.n))
     plain = np.asarray(patches)
     k = min(k, cube.m * cube.n)
     idx, d2 = naive_knn(plain, k)
@@ -538,7 +538,7 @@ def grid_graph(m, n, B, s, seed, k):
     rng = np.random.default_rng(seed)
     cube = DataCube(rng.random((B, m, n)))
     geom = PatchGeometry(s, s, m, n)
-    patches = extract_patches(cube, geom)
+    patches = extract_patches(cube.unfold(), geom)
     table = knn_exact(patches, k)
     bar = build_bar_w(table, local_scale(table, max(2, k // 2)))
     return geom, bar
@@ -572,7 +572,7 @@ def test_wtilde_is_bitwise_the_permutation_products(s1, s2, m, n):
     # index is the same, so wtilde.sum(), which sets lambda, is too
     rng = np.random.default_rng(s1 * 10 + s2)
     geom = PatchGeometry(s1, s2, m, n)
-    table = knn_exact(extract_patches(DataCube(rng.random((3, m, n))), geom), 6)
+    table = knn_exact(extract_patches(DataCube(rng.random((3, m, n))).unfold(), geom), 6)
     bar = build_bar_w(table, local_scale(table, 3))
     N = geom.n_pixels
     want = None
@@ -614,7 +614,7 @@ def test_graph_vs_naive_pipeline_end_to_end():
     rng = np.random.default_rng(13)
     cube = DataCube(rng.random((3, 6, 6)))
     geom = PatchGeometry(2, 2, 6, 6)
-    patches = extract_patches(cube, geom)
+    patches = extract_patches(cube.unfold(), geom)
     k, r_sigma = 5, 3
     table = knn_exact(patches, k)
     bar = build_bar_w(table, local_scale(table, r_sigma))

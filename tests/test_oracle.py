@@ -223,7 +223,7 @@ def test_dense_solve_on_assembled_band_system():
     from hsldmm.patch import PatchGeometry, extract_patches
 
     geom = PatchGeometry(2, 2, 4, 4)
-    patches = extract_patches(cube, geom)
+    patches = extract_patches(cube.unfold(), geom)
     table = knn_exact(patches, 6)
     wt = assemble_wtilde(build_bar_w(table, local_scale(table, 3)), geom)
     mask = np.zeros((4, 4), bool)
@@ -257,7 +257,7 @@ def test_fd_gradient_matches_analytic_residual_on_energy():
 
     cube = synth_cube(SyntheticSpec(3, 3, 2, 1, smoothness=1.0, seed=5))
     geom = PatchGeometry(2, 2, 3, 3)
-    patches = extract_patches(cube, geom)
+    patches = extract_patches(cube.unfold(), geom)
     table = knn_exact(patches, 9)
     wt = assemble_wtilde(build_bar_w(table, local_scale(table, 4)), geom)
     mask = np.zeros((3, 3), bool)

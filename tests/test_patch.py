@@ -91,13 +91,13 @@ def test_extract_1x1_is_unfolding():
     rng = np.random.default_rng(0)
     cube = DataCube(rng.random((3, 4, 5)))
     geom = PatchGeometry(1, 1, 4, 5)
-    assert np.array_equal(np.asarray(extract_patches(cube, geom)), cube.unfold())
+    assert np.array_equal(np.asarray(extract_patches(cube.unfold(), geom)), cube.unfold())
 
 
 def test_extract_2x2_single_band():
     cube = DataCube(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
     geom = PatchGeometry(2, 2, 2, 2)
-    rows = np.asarray(extract_patches(cube, geom))
+    rows = np.asarray(extract_patches(cube.unfold(), geom))
     assert np.array_equal(rows[0], [1.0, 2.0, 3.0, 4.0])
 
 
@@ -105,7 +105,7 @@ def test_extract_matches_shift_index_exhaustively():
     rng = np.random.default_rng(1)
     cube = DataCube(rng.random((3, 5, 7)))
     geom = PatchGeometry(2, 2, 5, 7)
-    rows = np.asarray(extract_patches(cube, geom))
+    rows = np.asarray(extract_patches(cube.unfold(), geom))
     B = cube.B
     for r in range(5):
         for c in range(7):
@@ -118,7 +118,7 @@ def test_extract_matches_shift_index_exhaustively():
 def test_patch_matrix_rows_shape_and_identity_gather():
     rng = np.random.default_rng(7)
     cube = DataCube(rng.random((3, 5, 4)))
-    patches = extract_patches(cube, PatchGeometry(2, 3, 5, 4))
+    patches = extract_patches(cube.unfold(), PatchGeometry(2, 3, 5, 4))
     full = np.asarray(patches)
     assert patches.shape == full.shape == (20, 18)
     pick = np.array([19, 0, 7, 7])
@@ -132,14 +132,23 @@ def test_patch_matrix_rows_shape_and_identity_gather():
         PatchMatrix.of(np.ones(3))
 
 
+def test_extract_reads_the_unfolding_in_place():
+    U = np.random.default_rng(3).random((20, 3))
+    patches = extract_patches(U, PatchGeometry(2, 2, 5, 4))
+    assert np.shares_memory(patches.unfolded, U)
+    assert not patches.unfolded.flags.writeable and U.flags.writeable
+
+
 def test_extract_dim_mismatch_and_budget(monkeypatch):
     rng = np.random.default_rng(2)
     cube = DataCube(rng.random((1, 4, 4)))
-    with pytest.raises(ValueError):
-        extract_patches(cube, PatchGeometry(2, 2, 5, 5))
+    with pytest.raises(ValueError, match="unfolding must be"):
+        extract_patches(cube.unfold(), PatchGeometry(2, 2, 5, 5))
+    with pytest.raises(ValueError, match="unfolding must be"):
+        extract_patches(cube.values, PatchGeometry(2, 2, 4, 4))  # the cube, not its unfolding
     monkeypatch.setattr(patch_mod, "_MAX_PATCH_BYTES", 10)
     with pytest.raises(ValueError):
-        extract_patches(cube, PatchGeometry(2, 2, 4, 4))
+        extract_patches(cube.unfold(), PatchGeometry(2, 2, 4, 4))
 
 
 # --- component apply / adjoint --------------------------------------------
@@ -226,7 +235,7 @@ def test_extract_matches_component_apply():
     rng = np.random.default_rng(6)
     cube = DataCube(rng.random((2, 4, 4)))
     geom = PatchGeometry(2, 2, 4, 4)
-    rows = np.asarray(extract_patches(cube, geom))
+    rows = np.asarray(extract_patches(cube.unfold(), geom))
     for i in range(1, geom.d_s + 1):
         for t in range(2):
             shifted = patch_component_apply(cube.band(t), i, geom)

@@ -41,7 +41,7 @@ from hsldmm.solver import RunLog, _gmres, assemble_band_system, solve_band, wnll
 def small_graph(m, n, B, s, k, seed):
     cube = synth_cube(SyntheticSpec(m, n, B, min(B, 3), smoothness=1.5, seed=seed))
     geom = PatchGeometry(s, s, m, n)
-    patches = extract_patches(cube, geom)
+    patches = extract_patches(cube.unfold(), geom)
     table = knn_exact(patches, k)
     wt = assemble_wtilde(build_bar_w(table, local_scale(table, max(2, k // 2))), geom)
     return cube, geom, wt
@@ -692,6 +692,39 @@ def test_ldmm_passes_knn_the_unfolding_not_the_patch_matrix(monkeypatch):
     N = m * n
     assert len(held) == 2
     assert max(held) <= N * B * 8 + N * s1 * s2 * 8
+
+
+def test_ldmm_rounds_read_one_iterate_in_place(monkeypatch):
+    # every round's patches are a read-only view of the one (m*n) x B iterate
+    # that the band solves update, not a copy of it
+    seen = []
+    real = solver_mod.knn_exact
+
+    def spy(patches, k):
+        seen.append(patches.unfolded)
+        return real(patches, k)
+
+    monkeypatch.setattr(solver_mod, "knn_exact", spy)
+    cube = synth_cube(SyntheticSpec(10, 8, 3, 2, smoothness=1.5, seed=31))
+    masks = make_mask(cube.dims, 0.3, 32)
+    b = apply_mask(cube, masks)
+    ldmm_reconstruct(b, masks, SolverConfig(k=8, r_sigma=4, outer_iters=2), b)
+    assert len(seen) == 2
+    assert np.shares_memory(seen[0], seen[1])
+    assert not any(u.flags.writeable for u in seen)
+
+
+def test_ldmm_checks_ref_dims_before_any_work(monkeypatch):
+    def no_knn(*args, **kwargs):
+        raise AssertionError("knn_exact called")
+
+    monkeypatch.setattr(solver_mod, "knn_exact", no_knn)
+    cube = synth_cube(SyntheticSpec(6, 6, 2, 1, smoothness=1.0, seed=25))
+    masks = make_mask(cube.dims, 0.5, 26)
+    b = apply_mask(cube, masks)
+    small = DataCube(np.zeros((2, 6, 5)))
+    with pytest.raises(ValueError, match="reference dims"):
+        ldmm_reconstruct(b, masks, SolverConfig(k=6, r_sigma=3, outer_iters=1), b, ref=small)
 
 
 def test_ldmm_logs_bands_and_psnr():
