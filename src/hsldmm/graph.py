@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._workers import _in_order, _pool_size
-from .patch import PatchGeometry, PatchMatrix, shift_permutation
+from .patch import PatchGeometry, PatchMatrix, _shift_pixels
 
 __all__ = [
     "NeighborTable",
@@ -306,21 +306,38 @@ def assemble_wtilde(bar_w: sp.csr_matrix, geom: PatchGeometry) -> sp.csr_matrix:
 
     wtilde(x, y) = sum_i bar_w(x shifted by 1-i, y shifted by 1-i) for
     i in [1, d_s]; this single matrix is what every spectral band shares.
+
+    A new canonical CSR, bitwise the products P_i @ bar_w @ P_i.T added in
+    shift order, summed about ``_CHUNK_ENTRIES`` output entries at a time into
+    arrays sized d_s * nnz(bar_w) and shrunk in place: the call holds
+    ``bar_w``, the result and one chunk.
     """
     N = geom.n_pixels
     if bar_w.shape != (N, N):
         raise ValueError(f"bar_w must be {N} x {N}, got {bar_w.shape}")
-    # The result never aliases the argument: with more than one shift the sums
-    # make new arrays, so a canonical CSR argument starts the sum as it is.
-    if geom.d_s == 1 or type(bar_w) is not sp.csr_matrix or not bar_w.has_canonical_format:
+    if type(bar_w) is not sp.csr_matrix or not bar_w.has_canonical_format:
         bar_w = sp.csr_matrix(bar_w, copy=True)
-        bar_w.sum_duplicates()  # a no-op on build_bar_w's canonical output
-    acc = bar_w  # shift 0
-    for i in range(2, geom.d_s + 1):
-        # P @ bar_w @ P.T, each row already sorted: gather the rows, then the
-        # columns as rows of the transpose; both conversions sort by counting.
-        # Canonical operands keep every add on scipy's merge path.
-        perm = shift_permutation(geom, 1 - i)
-        acc = acc + bar_w[perm].tocsc()[:, perm].tocsr()
-    return acc
+        bar_w.sum_duplicates()
+    cap = geom.d_s * bar_w.nnz
+    idx_dtype = np.int32 if max(cap, N) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(N + 1, idx_dtype)
+    indices, data = np.empty(cap, idx_dtype), np.empty(cap)
+    widest = int(np.diff(bar_w.indptr).max())
+    step = max(1, _CHUNK_ENTRIES // max(1, geom.d_s * widest))  # rows per chunk
+    for lo in range(0, N, step):
+        rows = np.arange(lo, min(lo + step, N))
+        for j in range(geom.d_s):
+            # P_i @ bar_w @ P_i.T, i = j + 1: bar_w's rows shifted by -j, its columns by j
+            term = bar_w[_shift_pixels(geom, -j, rows)]
+            term.indices = _shift_pixels(geom, j, term.indices).astype(idx_dtype, copy=False)
+            term.has_sorted_indices = False
+            term.sort_indices()  # canonical operands keep each add on scipy's merge path
+            acc = term if j == 0 else acc + term
+        start = indptr[lo]
+        indptr[lo + 1 : lo + step + 1] = acc.indptr[1:] + start
+        indices[start : start + acc.nnz] = acc.indices
+        data[start : start + acc.nnz] = acc.data
+    indices.resize(indptr[N], refcheck=False)  # in place: no copy
+    data.resize(indptr[N], refcheck=False)
+    return sp.csr_matrix((data, indices, indptr), shape=(N, N))
 

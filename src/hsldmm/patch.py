@@ -2,11 +2,11 @@
 
 Shifts wrap around at the image border, so every component shift is a
 permutation of the pixel grid and its adjoint is exactly its inverse. All of
-them gather by ``shift_permutation``: the patch matrix's offset-i columns,
-the i-th component and its adjoint here, and the shift-sum of
-``graph.assemble_wtilde``. The patch matrix itself is never stored: a
-``PatchMatrix`` holds a read-only view of the (m*n) x B unfolding it was
-given, with no copy, and the window's gather, and makes rows on demand.
+them shift pixels by ``_shift_pixels``: the patch matrix's offset-i columns,
+the i-th component and its adjoint here (by ``shift_permutation``), and the
+shift-sum of ``graph.assemble_wtilde``. The patch matrix itself is never
+stored: a ``PatchMatrix`` holds a read-only view of the (m*n) x B unfolding
+it was given, with no copy, and the window's gather, and makes rows on demand.
 """
 
 from __future__ import annotations
@@ -73,12 +73,16 @@ def shift_index(x: tuple[int, int], j: int, geom: PatchGeometry) -> tuple[int, i
 
 def shift_permutation(geom: PatchGeometry, j: int) -> np.ndarray:
     """Linear-index permutation: perm[p] is the pixel j steps after pixel p."""
+    return _shift_pixels(geom, j, np.arange(geom.n_pixels))
+
+
+def _shift_pixels(geom: PatchGeometry, j: int, p: np.ndarray) -> np.ndarray:
+    """The pixel j steps after each linear pixel index in ``p``."""
     if abs(j) >= geom.d_s:
         raise ValueError(f"|j| must be < d_s={geom.d_s}, got j={j}")
     dr, dc = _offset(j, geom.s2)
-    rows = (np.arange(geom.m)[:, None] + dr) % geom.m
-    cols = (np.arange(geom.n)[None, :] + dc) % geom.n
-    return (rows * geom.n + cols).reshape(-1)
+    rows, cols = np.divmod(p, geom.n)
+    return (rows + dr) % geom.m * geom.n + (cols + dc) % geom.n
 
 
 @dataclass(frozen=True)

@@ -137,20 +137,27 @@ class _BandGraph:
     deg: np.ndarray
 
 
-def _band_graph(wtilde: sp.spmatrix) -> _BandGraph:
-    """Graph-only state of the band operators, built once per graph."""
+def _with_diagonal(wtilde: sp.spmatrix) -> sp.csr_matrix:
+    """A private canonical CSR copy of a graph, with every diagonal entry stored."""
     # a NaN fails this too; checked first, as the add cancels a self weight of -1
     if not np.all(wtilde.data >= 0.0):
         raise ValueError("graph weights must be non-negative")
-    N = wtilde.shape[0]
-    # the add rejects a graph that is not square and makes a private copy with
-    # duplicates merged and a diagonal slot in every row, as self weight + 1 > 0
-    W = (wtilde + sp.identity(N, format="csr")).tocsr()
+    # the add rejects a graph that is not square and merges duplicates; self weight + 1 > 0
+    W = (wtilde + sp.identity(wtilde.shape[0], format="csr")).tocsr()
     W.sort_indices()  # only an input that is not canonical leaves it unsorted
+    return W
+
+
+def _band_graph(W: sp.csr_matrix) -> _BandGraph:
+    """Graph-only state of the band operators, built once per graph on ``W``
+    itself, whose diagonal it zeroes: a canonical CSR of non-negative weights
+    that stores every diagonal entry, as W-tilde does, or ``_with_diagonal``'s copy."""
+    N = W.shape[0]
     # each entry's row in the indices' dtype, int32 as a rule: an int64 copy
     # took this stage past the kNN stage's peak
     row = np.repeat(np.arange(N, dtype=W.indices.dtype), np.diff(W.indptr))
     diag_pos = np.flatnonzero(row == W.indices)
+    del row
     # The degree is summed without the self weight rather than as the full
     # row sum minus it: when every other weight of a row is below eps times
     # the self weight, that difference rounds to exactly 0.
@@ -177,9 +184,10 @@ def assemble_band_system(
     the inverse sampling rate, which is what lets sparse samples steer the
     interpolation; the matrix is non-symmetric because the boost follows the
     sample indicator. ``wtilde`` may also be the graph's ``_band_graph``
-    state, which ``ldmm_reconstruct`` builds once for all bands.
+    state, which ``ldmm_reconstruct`` builds once for all bands on W-tilde
+    itself; a graph itself is copied first, so the caller's never changes.
     """
-    graph = wtilde if isinstance(wtilde, _BandGraph) else _band_graph(wtilde)
+    graph = wtilde if isinstance(wtilde, _BandGraph) else _band_graph(_with_diagonal(wtilde))
     W = graph.W
     N = W.shape[0]
     chi = np.asarray(mask_t, dtype=np.float64).reshape(-1)
@@ -449,12 +457,13 @@ def ldmm_reconstruct(
         del table, sigma
         wtilde = assemble_wtilde(bar_w, geom)
         del bar_w
+        # read before the hand-over, as the band graph zeroes W-tilde's diagonal
         mean_degree = float(wtilde.sum()) / geom.n_pixels
+        nnz = wtilde.nnz
         lam = cfg.lambda_rel * mean_degree
         graph_secs = time.perf_counter() - t0
         graph = _band_graph(wtilde)
-        nnz = wtilde.nnz
-        del wtilde  # the band graph holds its own copy of the weights
+        del wtilde  # the band graph holds W-tilde itself, not a copy
 
         def solve(t):
             system = assemble_band_system(

@@ -566,10 +566,14 @@ def test_wtilde_matches_dense_oracle():
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("s1, s2, m, n", [(1, 1, 5, 7), (2, 2, 6, 9), (3, 2, 7, 5)])
+WINDOWS = [(1, 1, 5, 7), (2, 2, 6, 9), (3, 2, 7, 5), (3, 3, 7, 8)]
+
+
+@pytest.mark.parametrize("s1, s2, m, n", WINDOWS)
 def test_wtilde_is_bitwise_the_permutation_products(s1, s2, m, n):
     # the sum of P_i @ bar_w @ P_i.T, canonicalized at the end: every value and
-    # index is the same, so wtilde.sum(), which sets lambda, is too
+    # index is the same, so wtilde.sum(), which sets lambda, is too. A 3x3
+    # window sums up to 9 terms per entry.
     rng = np.random.default_rng(s1 * 10 + s2)
     geom = PatchGeometry(s1, s2, m, n)
     table = knn_exact(extract_patches(DataCube(rng.random((3, m, n))).unfold(), geom), 6)
@@ -590,9 +594,36 @@ def test_wtilde_is_bitwise_the_permutation_products(s1, s2, m, n):
     assert got is not bar and not np.shares_memory(got.data, bar.data)
 
 
+def test_wtilde_is_bitwise_with_chunk_edges_inside_the_grid(monkeypatch):
+    # 100 entries make chunks of 1 to 16 rows, none of them whole grid rows
+    monkeypatch.setattr(graph, "_CHUNK_ENTRIES", 100)
+    for window in WINDOWS:
+        test_wtilde_is_bitwise_the_permutation_products(*window)
+
+
+def test_wtilde_holds_its_argument_its_result_and_one_chunk():
+    # the shift-sum writes each chunk of rows into arrays of its final size,
+    # so its peak is bar_w's d_s-fold capacity, the row pointers and one
+    # chunk's temporaries, not two partial sums at once
+    rng = np.random.default_rng(15)
+    geom = PatchGeometry(2, 2, 64, 64)
+    table = knn_exact(extract_patches(rng.random((geom.n_pixels, 3)), geom), 20)
+    bar = build_bar_w(table, local_scale(table, 10))
+    del table
+    tracemalloc.start()
+    try:
+        wt = assemble_wtilde(bar, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wt.nnz > bar.nnz
+    N = geom.n_pixels
+    assert peak <= 12 * geom.d_s * bar.nnz + 8 * (N + 1) + 64 * graph._CHUNK_ENTRIES
+
+
 @pytest.mark.parametrize("s", [1, 2])
 def test_wtilde_leaves_its_argument_unchanged(s):
-    # with more than one shift the sum starts from bar_w itself, not a copy
+    # the sum gathers rows of a canonical bar_w itself, not of a copy
     geom, bar = grid_graph(5, 5, 2, s, 14, 5)
     before = [getattr(bar, attr).copy() for attr in ("indptr", "indices", "data")]
     wt = assemble_wtilde(bar, geom)

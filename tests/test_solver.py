@@ -219,7 +219,7 @@ def test_assemble_matches_sparse_product_form():
     for wt in graphs:
         n = wt.shape[0]
         # the graph-only state the outer loop builds once and shares across bands
-        hoisted = solver_mod._band_graph(wt)
+        hoisted = solver_mod._band_graph(solver_mod._with_diagonal(wt))
         for rate in (1.0, 0.5, 0.2, 0.05):
             mask = rng.random(n) < max(rate, 0.1)
             lam = float(rng.choice([0.0, 0.7, 30.0]))
@@ -233,6 +233,25 @@ def test_assemble_matches_sparse_product_form():
                     assert np.array_equal(got, want)
                 else:
                     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_assemble_leaves_the_callers_graph_unchanged():
+    # a graph given as it is is copied before its diagonal is zeroed, whether
+    # it is canonical (a shift-summed graph) or not
+    base = small_graph(6, 6, 1, 2, 6, 42)[2]
+    n = base.shape[0]
+    order = np.lexsort((-base.indices, np.repeat(np.arange(n), np.diff(base.indptr))))
+    unsorted = sp.csr_matrix((base.data[order], base.indices[order], base.indptr), shape=(n, n))
+    twice = sp.csr_matrix((np.repeat(base.data, 2), np.repeat(base.indices, 2), 2 * base.indptr),
+                          shape=(n, n))
+    mask = np.random.default_rng(43).random(n) < 0.3
+    for wt in (base, unsorted, twice, base.tocoo()):
+        arrays = ("row", "col", "data") if wt.format == "coo" else ("indptr", "indices", "data")
+        before = [getattr(wt, attr).copy() for attr in arrays]
+        system = assemble_band_system(wt, mask, np.ones(n), 2.0, 0.3)
+        assert not np.shares_memory(system.A.data, wt.data)
+        for attr, was in zip(arrays, before):
+            assert np.array_equal(getattr(wt, attr), was)
 
 
 def test_assemble_rejects_negative_weights():
@@ -631,6 +650,30 @@ def test_ldmm_builds_one_graph_per_iteration(monkeypatch):
         ldmm_reconstruct(b, masks, cfg, b)
         counts[B] = dict(calls)
     assert counts[2] == counts[5] == {"knn": 2, "bar": 2, "wtilde": 2, "band_graph": 2}
+
+
+def test_ldmm_builds_the_band_graph_on_wtilde_itself(monkeypatch):
+    # a round holds one graph-sized array of weights: the band graph zeroes
+    # the shift-summed graph's diagonal in place rather than copying it
+    seen = []
+    real_wt, real_band_graph = solver_mod.assemble_wtilde, solver_mod._band_graph
+
+    def wtilde_spy(*args):
+        seen.append(real_wt(*args))
+        return seen[-1]
+
+    def band_graph_spy(wtilde):
+        graph = real_band_graph(wtilde)
+        seen.append((wtilde is seen[-1], np.shares_memory(graph.W.data, seen[-1].data)))
+        return graph
+
+    monkeypatch.setattr(solver_mod, "assemble_wtilde", wtilde_spy)
+    monkeypatch.setattr(solver_mod, "_band_graph", band_graph_spy)
+    cube = synth_cube(SyntheticSpec(10, 10, 3, 2, smoothness=1.5, seed=29))
+    masks = make_mask(cube.dims, 0.3, 30)
+    b = apply_mask(cube, masks)
+    ldmm_reconstruct(b, masks, SolverConfig(k=8, r_sigma=4, outer_iters=2), b)
+    assert seen[1::2] == [(True, True), (True, True)]
 
 
 def test_ldmm_frees_each_round_intermediate_at_its_last_reader(monkeypatch):
