@@ -199,16 +199,25 @@ def fd_gradient(f, u: np.ndarray, h: float) -> np.ndarray:
 
 
 def _check_adjoint() -> bool:
-    from .patch import PatchGeometry, patch_component_adjoint, patch_component_apply
+    from .patch import PatchGeometry, extract_patches, shift_permutation
 
+    # R_i is column i of the patch matrix's gather, R_i^T the inverse shift the
+    # shift-sum applies: R_i must be window offset i of the row-major walk, by
+    # inline index arithmetic, R_i^T must undo it, and <R_i u, v> and
+    # <u, R_i^T v> must have the same terms, so their sums agree to 0 ulp
     rng = np.random.default_rng(11)
-    geom = PatchGeometry(2, 2, 6, 6)
-    for i in range(1, geom.d_s + 1):
-        u = rng.standard_normal((6, 6))
-        v = rng.standard_normal((6, 6))
-        lhs = float((patch_component_apply(u, i, geom) * v).sum())
-        rhs = float((u * patch_component_adjoint(v, i, geom)).sum())
-        if not math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-12):
+    m, n = 5, 7
+    geom = PatchGeometry(2, 3, m, n)
+    gather = extract_patches(np.zeros((m * n, 1)), geom).gather
+    rows, cols = np.divmod(np.arange(m * n), n)
+    for i in range(geom.d_s):
+        dr, dc = divmod(i, geom.s2)
+        inv = shift_permutation(geom, -i)
+        u, v = rng.standard_normal((2, m * n))
+        lhs, rhs = u[gather[:, i]] * v, (u * v[inv])[gather[:, i]]
+        if not (np.array_equal(gather[:, i], (rows + dr) % m * n + (cols + dc) % n)
+                and np.array_equal(gather[inv, i], np.arange(m * n))
+                and np.array_equal(lhs, rhs) and lhs.sum() == rhs.sum()):
             return False
     return True
 
@@ -235,7 +244,7 @@ def _check_graph() -> bool:
 def _check_solver() -> bool:
     from .graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
     from .patch import PatchGeometry, extract_patches
-    from .solver import SolverConfig, assemble_band_system, solve_band
+    from .solver import SolverConfig, _gmres, assemble_band_system
 
     cube = synth_cube(SyntheticSpec(4, 4, 2, 2, smoothness=1.0, seed=3))
     geom = PatchGeometry(2, 2, 4, 4)
@@ -245,7 +254,7 @@ def _check_solver() -> bool:
     mask.reshape(-1)[[0, 5, 9, 14]] = True
     system = assemble_band_system(wt, mask, cube.band(0), 5.0, 0.25)
     cfg = SolverConfig(k=6, r_sigma=3, gmres_tol=1e-12, gmres_max_iters=2000)
-    x = solve_band(system, np.zeros(16), cfg)
+    x = _gmres(system, np.zeros(16), cfg)[0]
     ref = dense_solve(system)
     return bool(np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref))
 
@@ -253,7 +262,7 @@ def _check_solver() -> bool:
 def _check_fd_stationarity() -> bool:
     from .graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
     from .patch import PatchGeometry, extract_patches
-    from .solver import SolverConfig, assemble_band_system, solve_band, wnll_energy
+    from .solver import SolverConfig, _gmres, assemble_band_system, wnll_energy
 
     cube = synth_cube(SyntheticSpec(4, 4, 2, 1, smoothness=1.0, seed=9))
     geom = PatchGeometry(2, 2, 4, 4)
@@ -264,7 +273,7 @@ def _check_fd_stationarity() -> bool:
     lam, rate = 3.0, 0.25
     system = assemble_band_system(wt, mask, cube.band(0), lam, rate)
     cfg = SolverConfig(k=16, r_sigma=8, gmres_tol=1e-13, gmres_max_iters=2000)
-    x = solve_band(system, np.zeros(16), cfg)
+    x = _gmres(system, np.zeros(16), cfg)[0]
     grad = fd_gradient(
         lambda img: wnll_energy(img, wt, mask, cube.band(0), lam, rate), x.reshape(4, 4), 1e-5
     )

@@ -2,11 +2,12 @@
 
 Shifts wrap around at the image border, so every component shift is a
 permutation of the pixel grid and its adjoint is exactly its inverse. All of
-them shift pixels by ``_shift_pixels``: the patch matrix's offset-i columns,
-the i-th component and its adjoint here (by ``shift_permutation``), and the
-shift-sum of ``graph.assemble_wtilde``. The patch matrix itself is never
-stored: a ``PatchMatrix`` holds a read-only view of the (m*n) x B unfolding
-it was given, with no copy, and the window's gather, and makes rows on demand.
+them shift pixels by ``_shift_pixels``: the patch matrix's gather, whose
+column j is window offset j (``shift_permutation(geom, j)``), and the
+shift-sum of ``graph.assemble_wtilde``, which applies each component's
+adjoint as the inverse shift. The patch matrix itself is never stored: a
+``PatchMatrix`` holds a read-only view of the (m*n) x B unfolding it was
+given, with no copy, and the window's gather, and makes rows on demand.
 """
 
 from __future__ import annotations
@@ -18,11 +19,8 @@ import numpy as np
 __all__ = [
     "PatchGeometry",
     "PatchMatrix",
-    "shift_index",
     "shift_permutation",
     "extract_patches",
-    "patch_component_apply",
-    "patch_component_adjoint",
 ]
 
 _MAX_PATCH_BYTES = 2 << 30  # the largest patch matrix extract_patches accepts
@@ -56,21 +54,6 @@ class PatchGeometry:
         return self.m * self.n
 
 
-def _offset(j: int, s2: int) -> tuple[int, int]:
-    # j steps along the row-major window walk; negative j mirrors the
-    # positive offset so that offset(-j) == -offset(j) and shifts invert.
-    q, r = divmod(abs(j), s2)
-    return (q, r) if j >= 0 else (-q, -r)
-
-
-def shift_index(x: tuple[int, int], j: int, geom: PatchGeometry) -> tuple[int, int]:
-    """Pixel j steps after x in the row-major patch walk, wrapping periodically."""
-    if abs(j) >= geom.d_s:
-        raise ValueError(f"|j| must be < d_s={geom.d_s}, got j={j}")
-    dr, dc = _offset(j, geom.s2)
-    return ((x[0] + dr) % geom.m, (x[1] + dc) % geom.n)
-
-
 def shift_permutation(geom: PatchGeometry, j: int) -> np.ndarray:
     """Linear-index permutation: perm[p] is the pixel j steps after pixel p."""
     return _shift_pixels(geom, j, np.arange(geom.n_pixels))
@@ -80,7 +63,11 @@ def _shift_pixels(geom: PatchGeometry, j: int, p: np.ndarray) -> np.ndarray:
     """The pixel j steps after each linear pixel index in ``p``."""
     if abs(j) >= geom.d_s:
         raise ValueError(f"|j| must be < d_s={geom.d_s}, got j={j}")
-    dr, dc = _offset(j, geom.s2)
+    # j steps along the row-major window walk; negative j mirrors the
+    # positive offset, so that the shifts by j and -j invert
+    dr, dc = divmod(abs(j), geom.s2)
+    if j < 0:
+        dr, dc = -dr, -dc
     rows, cols = np.divmod(p, geom.n)
     return (rows + dr) % geom.m * geom.n + (cols + dc) % geom.n
 
@@ -153,22 +140,3 @@ def extract_patches(unfolded: np.ndarray, geom: PatchGeometry) -> PatchMatrix:
     view.flags.writeable = False
     return PatchMatrix(view, gather)
 
-
-def _component(band: np.ndarray, i: int, j: int, geom: PatchGeometry) -> np.ndarray:
-    """Component i's shift by j steps: output(p) = band(pixel j steps after p)."""
-    if not 1 <= i <= geom.d_s:
-        raise ValueError(f"component index must be in [1, {geom.d_s}], got {i}")
-    band = np.asarray(band)
-    if band.shape != (geom.m, geom.n):
-        raise ValueError(f"band must have shape {(geom.m, geom.n)}, got {band.shape}")
-    return band.reshape(-1)[shift_permutation(geom, j)].reshape(band.shape)
-
-
-def patch_component_apply(band: np.ndarray, i: int, geom: PatchGeometry) -> np.ndarray:
-    """output(x) = input(x shifted by i-1): read the i-th patch component."""
-    return _component(band, i, i - 1, geom)
-
-
-def patch_component_adjoint(band: np.ndarray, i: int, geom: PatchGeometry) -> np.ndarray:
-    """output(x) = input(x shifted by 1-i): exact adjoint of the i-th component."""
-    return _component(band, i, 1 - i, geom)

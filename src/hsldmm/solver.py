@@ -23,7 +23,6 @@ __all__ = [
     "NumericalError",
     "RunLog",
     "assemble_band_system",
-    "solve_band",
     "wnll_energy",
     "ldmm_reconstruct",
 ]
@@ -352,22 +351,6 @@ def _gmres(
         ptol = presid * min(ptol_max_factor, atol / rnorm)
     xnorm = _norm(x)
     return x, iters, rnorm / (bnrm2 + anorm * xnorm), rnorm <= tol * (bnrm2 + anorm * xnorm)
-
-
-def solve_band(system: BandSystem, x0: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Solve one band system; warns with the backward error reached and
-    returns the last iterate if the iteration budget runs out."""
-    x0 = np.asarray(x0, dtype=np.float64).reshape(-1)
-    if x0.shape[0] != system.n:
-        raise ValueError(f"warm start has size {x0.shape[0]}, system has {system.n}")
-    x, _, eta, converged = _gmres(system, x0, cfg)
-    if not converged:
-        warnings.warn(
-            f"gmres on band {system.band} stopped at backward error {eta:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return x
 
 
 def wnll_energy(

@@ -33,21 +33,13 @@ def test_top_level_exports_only_what_callers_use():
     from hsldmm.graph import NeighborTable, assemble_wtilde, build_bar_w, knn_exact, local_scale
     from hsldmm.lowrank import svt
     from hsldmm.oracle import dense_solve, fd_gradient
-    from hsldmm.patch import (
-        PatchGeometry,
-        extract_patches,
-        patch_component_adjoint,
-        patch_component_apply,
-        shift_index,
-        shift_permutation,
-    )
-    from hsldmm.solver import BandSystem, assemble_band_system, solve_band, wnll_energy
+    from hsldmm.patch import PatchGeometry, extract_patches, shift_permutation
+    from hsldmm.solver import BandSystem, assemble_band_system, wnll_energy
 
     moved = [Metrics, NeighborTable, assemble_wtilde, build_bar_w, knn_exact, local_scale, svt,
-             dense_solve, fd_gradient, PatchGeometry, extract_patches, patch_component_adjoint,
-             patch_component_apply, shift_index, shift_permutation, BandSystem,
-             assemble_band_system, solve_band, wnll_energy]
-    assert len({f.__name__ for f in moved}) == 19
+             dense_solve, fd_gradient, PatchGeometry, extract_patches, shift_permutation,
+             BandSystem, assemble_band_system, wnll_energy]
+    assert len({f.__name__ for f in moved}) == 15
     assert not any(hasattr(hsldmm, f.__name__) for f in moved)
 
 

@@ -280,9 +280,11 @@ def test_fd_gradient_validation():
 
 def test_selfcheck_passes(capsys):
     assert selfcheck()
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 7 and "FAIL" not in out
-    assert f"kNN blocks and bands run on {_workers._pool_size()} process" in out.splitlines()[0]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"{name}: PASS" for name in (
+        "adjoint_identity", "graph_vs_naive", "gmres_vs_dense", "energy_stationarity",
+        "hsc_roundtrip", "svt_closed_form", "band_workers")]
+    assert f"kNN blocks and bands run on {_workers._pool_size()} process" in lines[0]
 
 
 def test_selfcheck_header_names_one_process_on_one_cpu(monkeypatch, capsys):

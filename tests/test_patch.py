@@ -9,9 +9,6 @@ from hsldmm.patch import (
     PatchGeometry,
     PatchMatrix,
     extract_patches,
-    patch_component_adjoint,
-    patch_component_apply,
-    shift_index,
     shift_permutation,
 )
 
@@ -24,42 +21,52 @@ def test_geometry_validation():
     assert PatchGeometry(2, 3, 4, 5).d_s == 6
 
 
-# --- shift_index ---------------------------------------------------------
+def shifted(p, j, geom):
+    """Pixel j steps after linear pixel p on the row-major window walk, by
+    inline modular arithmetic; a negative j steps back."""
+    r, c = divmod(p, geom.n)
+    dr, dc = divmod(abs(j), geom.s2)
+    if j < 0:
+        dr, dc = -dr, -dc
+    return (r + dr) % geom.m * geom.n + (c + dc) % geom.n
+
+
+# --- shift_permutation -----------------------------------------------------
 
 
 def test_shift_zero_is_identity():
     geom = PatchGeometry(2, 2, 4, 4)
-    assert shift_index((2, 3), 0, geom) == (2, 3)
+    assert np.array_equal(shift_permutation(geom, 0), np.arange(16))
 
 
 def test_shift_enumeration_2x2():
     geom = PatchGeometry(2, 2, 4, 4)
-    assert shift_index((0, 0), 1, geom) == (0, 1)
-    assert shift_index((0, 0), 2, geom) == (1, 0)
-    assert shift_index((0, 0), 3, geom) == (1, 1)
+    for j, (dr, dc) in enumerate([(0, 1), (1, 0), (1, 1)], start=1):
+        perm = shift_permutation(geom, j)
+        for p in range(16):
+            r, c = divmod(p, 4)
+            assert perm[p] == (r + dr) % 4 * 4 + (c + dc) % 4
 
 
 def test_shift_wraps_periodically():
     geom = PatchGeometry(2, 2, 4, 4)
-    assert shift_index((0, 3), 1, geom) == (0, 0)
-    assert shift_index((3, 3), 3, geom) == (0, 0)
+    assert shift_permutation(geom, 1)[0 * 4 + 3] == 0 * 4 + 0
+    assert shift_permutation(geom, 3)[3 * 4 + 3] == 0 * 4 + 0
 
 
 def test_shift_inverse_exhaustive_4x4():
     geom = PatchGeometry(2, 2, 4, 4)
     for j in range(-geom.d_s + 1, geom.d_s):
-        for r in range(4):
-            for c in range(4):
-                fwd = shift_index((r, c), j, geom)
-                assert shift_index(fwd, -j, geom) == (r, c)
+        perm, inv = shift_permutation(geom, j), shift_permutation(geom, -j)
+        assert np.array_equal(perm[inv], np.arange(16))
 
 
 def test_shift_out_of_range():
     geom = PatchGeometry(2, 2, 4, 4)
     with pytest.raises(ValueError):
-        shift_index((0, 0), 4, geom)
+        shift_permutation(geom, 4)
     with pytest.raises(ValueError):
-        shift_index((0, 0), -4, geom)
+        shift_permutation(geom, -4)
 
 
 @given(
@@ -77,11 +84,7 @@ def test_shift_permutation_is_bijection(s1, s2, m, n, j):
     assert sorted(perm) == list(range(m * n))
     inv = shift_permutation(geom, -j)
     assert np.array_equal(perm[inv], np.arange(m * n))
-    # agrees with the scalar definition
-    for p in range(m * n):
-        r, c = divmod(p, n)
-        rr, cc = shift_index((r, c), j, geom)
-        assert perm[p] == rr * n + cc
+    assert [int(q) for q in perm] == [shifted(p, j, geom) for p in range(m * n)]
 
 
 # --- extract_patches ---------------------------------------------------------
@@ -101,18 +104,17 @@ def test_extract_2x2_single_band():
     assert np.array_equal(rows[0], [1.0, 2.0, 3.0, 4.0])
 
 
-def test_extract_matches_shift_index_exhaustively():
+def test_extract_matches_modular_arithmetic_exhaustively():
     rng = np.random.default_rng(1)
     cube = DataCube(rng.random((3, 5, 7)))
     geom = PatchGeometry(2, 2, 5, 7)
     rows = np.asarray(extract_patches(cube.unfold(), geom))
     B = cube.B
-    for r in range(5):
-        for c in range(7):
-            for i in range(geom.d_s):
-                rr, cc = shift_index((r, c), i, geom)
-                for t in range(B):
-                    assert rows[r * 7 + c, i * B + t] == cube.values[t, rr, cc]
+    for p in range(5 * 7):
+        for i in range(geom.d_s):
+            rr, cc = divmod(shifted(p, i, geom), 7)
+            for t in range(B):
+                assert rows[p, i * B + t] == cube.values[t, rr, cc]
 
 
 def test_patch_matrix_rows_shape_and_identity_gather():
@@ -151,92 +153,68 @@ def test_extract_dim_mismatch_and_budget(monkeypatch):
         extract_patches(cube.unfold(), PatchGeometry(2, 2, 4, 4))
 
 
-# --- component apply / adjoint --------------------------------------------
+# --- the components the reconstruction runs --------------------------------
+# R_i is column i of the gather; R_i^T is shift_permutation(geom, -i), the
+# inverse shift the shift-sum applies
 
 
 def test_component_apply_identity_and_constant():
     geom = PatchGeometry(2, 2, 3, 3)
-    rng = np.random.default_rng(3)
-    band = rng.random((3, 3))
-    assert np.array_equal(patch_component_apply(band, 1, geom), band)
-    const = np.full((3, 3), 2.5)
-    for i in range(1, geom.d_s + 1):
-        assert np.array_equal(patch_component_apply(const, i, geom), const)
+    band = np.random.default_rng(3).random(9)
+    assert np.array_equal(np.asarray(extract_patches(band[:, None], geom))[:, 0], band)
+    const = np.asarray(extract_patches(np.full((9, 1), 2.5), geom))
+    assert np.array_equal(const, np.full((9, geom.d_s), 2.5))
 
 
 def test_component_apply_column_rotation():
     geom = PatchGeometry(1, 2, 3, 3)
     band = np.arange(9.0).reshape(3, 3)
-    got = patch_component_apply(band, 2, geom)
-    for r in range(3):
-        for c in range(3):
-            rr, cc = shift_index((r, c), 1, geom)
-            assert got[r, c] == band[rr, cc]
+    got = np.asarray(extract_patches(band.reshape(9, 1), geom))[:, 1].reshape(3, 3)
     assert np.array_equal(got, np.roll(band, -1, axis=1))
 
 
-def test_component_index_validation():
-    geom = PatchGeometry(2, 2, 4, 4)
-    band = np.zeros((4, 4))
-    for bad in (0, 5):
-        with pytest.raises(ValueError):
-            patch_component_apply(band, bad, geom)
-        with pytest.raises(ValueError):
-            patch_component_adjoint(band, bad, geom)
-
-
-def test_component_rejects_a_band_off_the_grid():
-    geom = PatchGeometry(2, 2, 6, 6)
-    for band in (np.arange(9.0).reshape(3, 3), np.zeros(36), np.zeros((6, 7))):
-        with pytest.raises(ValueError, match="band must have shape"):
-            patch_component_apply(band, 4, geom)
-        with pytest.raises(ValueError, match="band must have shape"):
-            patch_component_adjoint(band, 4, geom)
-
-
 def test_adjoint_identity_bitwise():
-    # <P_i u, v> == <u, P_i* v> with a fixed summation order: the term
+    # <R_i u, v> == <u, R_i^T v> with a fixed summation order: the term
     # sequences are identical after reindexing, so sums match to 0 ulp.
     geom = PatchGeometry(2, 2, 6, 6)
+    gather = extract_patches(np.zeros((36, 1)), geom).gather
     rng = np.random.default_rng(4)
-    for i in range(1, geom.d_s + 1):
-        perm = shift_permutation(geom, i - 1)
-        u = rng.standard_normal((6, 6))
-        v = rng.standard_normal((6, 6))
-        lhs_terms = (patch_component_apply(u, i, geom) * v).reshape(-1)
-        rhs_terms = (u * patch_component_adjoint(v, i, geom)).reshape(-1)[perm]
+    for i in range(geom.d_s):
+        inv = shift_permutation(geom, -i)
+        u = rng.standard_normal(36)
+        v = rng.standard_normal(36)
+        lhs_terms = u[gather[:, i]] * v
+        rhs_terms = (u * v[inv])[gather[:, i]]
         assert np.array_equal(lhs_terms, rhs_terms)
         assert np.sum(lhs_terms) == np.sum(rhs_terms)
 
 
 def test_adjoint_composes_to_identity():
     geom = PatchGeometry(3, 2, 5, 4)
-    rng = np.random.default_rng(5)
-    band = rng.random((5, 4))
-    for i in range(1, geom.d_s + 1):
-        roundtrip = patch_component_adjoint(patch_component_apply(band, i, geom), i, geom)
-        assert np.array_equal(roundtrip, band)
+    band = np.random.default_rng(5).random(20)
+    columns = np.asarray(extract_patches(band[:, None], geom))
+    for i in range(geom.d_s):
+        assert np.array_equal(columns[:, i][shift_permutation(geom, -i)], band)
 
 
-@given(seed=st.integers(0, 1000), s1=st.integers(1, 3), s2=st.integers(1, 3))
-def test_adjoint_identity_property(seed, s1, s2):
-    geom = PatchGeometry(s1, s2, 6, 6)
+@given(
+    seed=st.integers(0, 1000),
+    s1=st.integers(1, 3),
+    s2=st.integers(1, 3),
+    dm=st.integers(0, 3),
+    dn=st.integers(0, 4),
+)
+def test_adjoint_identity_property(seed, s1, s2, dm, dn):
+    # non-square grids, down to a window as large as the grid
+    m, n = s1 + dm, s2 + dn
+    geom = PatchGeometry(s1, s2, m, n)
+    gather = extract_patches(np.zeros((m * n, 1)), geom).gather
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((6, 6))
-    v = rng.standard_normal((6, 6))
-    for i in range(1, geom.d_s + 1):
-        perm = shift_permutation(geom, i - 1)
-        lhs = (patch_component_apply(u, i, geom) * v).reshape(-1)
-        rhs = (u * patch_component_adjoint(v, i, geom)).reshape(-1)[perm]
+    u = rng.standard_normal(m * n)
+    v = rng.standard_normal(m * n)
+    for i in range(geom.d_s):
+        inv = shift_permutation(geom, -i)
+        assert np.array_equal(gather[inv, i], np.arange(m * n))
+        lhs = u[gather[:, i]] * v
+        rhs = (u * v[inv])[gather[:, i]]
         assert np.array_equal(lhs, rhs)
-
-
-def test_extract_matches_component_apply():
-    rng = np.random.default_rng(6)
-    cube = DataCube(rng.random((2, 4, 4)))
-    geom = PatchGeometry(2, 2, 4, 4)
-    rows = np.asarray(extract_patches(cube.unfold(), geom))
-    for i in range(1, geom.d_s + 1):
-        for t in range(2):
-            shifted = patch_component_apply(cube.band(t), i, geom)
-            assert np.array_equal(rows[:, (i - 1) * 2 + t], shifted.reshape(-1))

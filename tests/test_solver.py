@@ -35,7 +35,7 @@ from hsldmm import (
 from hsldmm.graph import assemble_wtilde, build_bar_w, knn_exact, local_scale
 from hsldmm.oracle import DENSE_SOLVE_CAP, dense_solve, fd_gradient
 from hsldmm.patch import PatchGeometry, extract_patches
-from hsldmm.solver import RunLog, _gmres, assemble_band_system, solve_band, wnll_energy
+from hsldmm.solver import RunLog, _gmres, assemble_band_system, wnll_energy
 
 
 def small_graph(m, n, B, s, k, seed):
@@ -305,7 +305,7 @@ def test_ldmm_survives_a_hot_pixel(seed):
             assert np.all(np.isfinite(out.values))
 
 
-# --- solve_band -------------------------------------------------------------
+# --- _gmres -----------------------------------------------------------------
 
 
 def test_solve_zero_rhs_zero_iterations():
@@ -324,7 +324,7 @@ def test_solve_full_mask_constant_is_constant():
     c = 2.75
     system = assemble_band_system(wt, mask, np.full((5, 5), c), 10.0, 1.0)
     cfg = SolverConfig(k=6, r_sigma=3, gmres_tol=1e-12, gmres_max_iters=2000)
-    x = solve_band(system, np.zeros(25), cfg)
+    x = _gmres(system, np.zeros(25), cfg)[0]
     assert np.allclose(x, c, atol=1e-8 * c)
 
 
@@ -334,7 +334,7 @@ def test_solve_matches_dense_lu():
     lam = 5.0
     system = assemble_band_system(wt, mask, cube.band(0), lam, 0.2)
     cfg = SolverConfig(k=8, r_sigma=4, gmres_tol=1e-12, gmres_max_iters=4000)
-    x = solve_band(system, np.zeros(64), cfg)
+    x = _gmres(system, np.zeros(64), cfg)[0]
     ref = dense_solve(system)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -359,11 +359,11 @@ def test_solve_band_on_truncated_graphs_matches_dense_solve(s, m, k):
         sigma = np.linalg.svd(A, compute_uv=False)
         if sigma[-1] <= m * m * np.finfo(float).eps * sigma[0]:
             # a graph component without a sample leaves the operator singular
-            # (ROADMAP item 1); the dense oracle must refuse it
+            # (ROADMAP item 4); the dense oracle must refuse it
             with pytest.raises((np.linalg.LinAlgError, ArithmeticError)):
                 dense_solve(system)
             continue
-        x = solve_band(system, np.zeros(m * m), cfg)
+        x = _gmres(system, np.zeros(m * m), cfg)[0]
         ref = dense_solve(system)
         resid = np.linalg.norm(rhs - A @ x)
         assert np.linalg.norm(x - ref) <= (resid + np.linalg.norm(rhs - A @ ref)) / sigma[-1]
@@ -380,16 +380,12 @@ def test_warnings_name_the_calling_line():
     masks = make_mask(cube.dims, 0.3, 6)
     b = apply_mask(cube, masks)
     cfg = SolverConfig(k=8, r_sigma=4, outer_iters=1, gmres_max_iters=1, gmres_restart=1)
-    _, _, wt = small_graph(8, 8, 1, 2, 8, 8)
-    mask = make_mask((8, 8, 1), 0.2, 9).band(0)
-    system = assemble_band_system(wt, mask, np.ones((8, 8)), 5.0, 0.2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ldmm_reconstruct(b, masks, cfg, b)
-        solve_band(system, np.zeros(64), cfg)
         apg_complete(b, masks, ApgConfig(n_stages=1, max_iters=1, tol=1e-12))
     found = {str(w.message).split()[0]: w.filename for w in caught}
-    assert found == {"iteration": __file__, "gmres": __file__, "completion": __file__}
+    assert found == {"iteration": __file__, "completion": __file__}
 
 
 def test_solve_zero_diagonal_reports_row():
@@ -399,7 +395,7 @@ def test_solve_zero_diagonal_reports_row():
     mask[0, 0] = True
     system = assemble_band_system(wt, mask, np.ones((3, 3)), 1.0, 1.0)
     with pytest.raises(NumericalError, match="row"):
-        solve_band(system, np.zeros(9), SolverConfig())
+        _gmres(system, np.zeros(9), SolverConfig())
 
 
 def gmres_cases():
@@ -495,15 +491,6 @@ def test_gmres_budget_caps_inner_iterations_exactly(restart, budget):
     assert iters == budget and not ok
 
 
-def test_solve_warns_when_budget_exhausted():
-    cube, geom, wt = small_graph(6, 6, 1, 2, 6, 10)
-    mask = make_mask((6, 6, 1), 0.3, 11).band(0)
-    system = assemble_band_system(wt, mask, cube.band(0), 100.0, 0.3)
-    cfg = SolverConfig(k=6, r_sigma=3, gmres_tol=1e-14, gmres_restart=2, gmres_max_iters=2)
-    with pytest.warns(RuntimeWarning):
-        solve_band(system, np.zeros(36), cfg)
-
-
 # --- wnll_energy ---------------------------------------------------------------
 
 
@@ -523,7 +510,7 @@ def test_energy_descent_from_warm_start():
         system = assemble_band_system(wt, mask, cube.band(0), lam, 0.3)
         x0 = rng.standard_normal(36)
         cfg = SolverConfig(k=8, r_sigma=4, gmres_tol=1e-10, gmres_max_iters=2000)
-        x = solve_band(system, x0, cfg)
+        x = _gmres(system, x0, cfg)[0]
         e0 = wnll_energy(x0, wt, mask, cube.band(0), lam, 0.3)
         e1 = wnll_energy(x, wt, mask, cube.band(0), lam, 0.3)
         assert e1 <= e0
@@ -537,7 +524,7 @@ def test_energy_gradient_vanishes_at_solution_full_graph():
     lam, rate = 3.0, 0.25
     system = assemble_band_system(wt, mask, cube.band(0), lam, rate)
     cfg = SolverConfig(k=16, r_sigma=8, gmres_tol=1e-13, gmres_max_iters=4000)
-    x = solve_band(system, np.zeros(16), cfg)
+    x = _gmres(system, np.zeros(16), cfg)[0]
     grad = fd_gradient(
         lambda img: wnll_energy(img, wt, mask, cube.band(0), lam, rate),
         x.reshape(4, 4),
@@ -611,7 +598,7 @@ def test_ldmm_band_results_independent_of_band_order():
         outs = {}
         for t in order:
             system = assemble_band_system(wt, masks.band(t), cube.band(t), lam, 0.4, band=t)
-            outs[t] = solve_band(system, np.zeros(36), cfg)
+            outs[t] = _gmres(system, np.zeros(36), cfg)[0]
         return outs
 
     a = solve_order([0, 1, 2])
